@@ -23,6 +23,7 @@ from .rootdata import (
     Root,
     RootSystem,
     Weight,
+    coroot,
     form,
     root_to_json,
     root_from_json,
@@ -102,6 +103,35 @@ class BorelSystem:
     @property
     def rho(self) -> Weight:
         return self.rho_triple.rho
+
+    @cached_property
+    def genericity_table(
+        self,
+    ) -> tuple[tuple[Weight, Fraction, Fraction, tuple[Fraction, ...]], ...]:
+        """Per even positive root alpha: (alpha_check, lo, hi, sums).
+
+        lo and hi sum the negative and the positive pairings <gamma,
+        alpha_check> over all odd roots gamma; sums are the sorted
+        distinct subset sums of <gamma, alpha_check> over the odd roots
+        negative in this system.  The genericity tests see an odd subset
+        sum only through these scalars.
+        """
+        odd = [r for r in self.system.roots if r.parity == ODD]
+        out = []
+        for alpha in self.system.even_positive:
+            av = coroot(alpha)
+            pairings = [form(r.weight, av) for r in odd]
+            sums = {Fraction(0)}
+            for r, p in zip(odd, pairings):
+                if r not in self.odd_positive:
+                    sums |= {s + p for s in sums}
+            out.append((
+                av,
+                sum((p for p in pairings if p < 0), Fraction(0)),
+                sum((p for p in pairings if p > 0), Fraction(0)),
+                tuple(sorted(sums)),
+            ))
+        return tuple(out)
 
     def is_positive(self, r: Root) -> bool:
         if r.parity == ODD:

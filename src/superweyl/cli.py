@@ -163,12 +163,27 @@ def named_star_map(system: RootSystem, name: str) -> StarMap | RootSystem:
     if name == "osp-star-prime":
         return osp_star_map(system, "star_prime")
     if name.startswith("@"):
-        with open(name[1:]) as fh:
-            spec = json.load(fh)
+        path = name[1:]
+        try:
+            with open(path) as fh:
+                spec = json.load(fh)
+        except OSError as exc:
+            raise CliParseError(f"cannot read star map {path!r}: {exc.strerror}")
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise CliParseError(f"star map {path!r} is not JSON: {exc}")
+        if not isinstance(spec, dict):
+            raise CliParseError(
+                f"star map {path!r} must be a JSON object from roots to Borels"
+            )
         assignment = {}
         for key, borel_obj in spec.items():
             alpha = parse_root(system, key, EVEN)
-            assignment[alpha] = borel_from_json(system, borel_obj)
+            try:
+                assignment[alpha] = borel_from_json(system, borel_obj)
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise CliParseError(
+                    f"star map {path!r}: malformed Borel for {key!r} ({exc!r})"
+                )
         return star_map(b, assignment, name="custom")
     raise CliParseError(f"unknown star map {name!r}")
 

@@ -4,22 +4,29 @@ confinement, plus the dominance order used for orbit maximality.
 Gamma collects subset sums over the negative odd roots of a Borel;
 GammaTilde over all odd roots.  A weight is weakly generic when the
 whole translate lambda + GammaTilde sits in one open Weyl chamber, and
-generic when every point of lambda + Gamma is weakly generic.  The
-chamber test is evaluated without enumerating subsets: for each positive
-even coroot the attainable displacements form an interval whose
-endpoints are themselves subset sums, so it suffices to check the two
-extreme values.  The literal enumeration is kept for cross-checks.
+generic when every point of lambda + Gamma is weakly generic.  Both
+tests are evaluated per positive even coroot, without enumerating
+subsets: a subset sum enters only through its pairing with the coroot.
+For weak genericity the attainable displacements form an interval whose
+endpoints are themselves subset sums, so the two extreme values decide
+it.  For genericity each coroot fails on an interval of pairings, and
+one bisection in the sorted scalar subset sums of that coroot (the
+Borel's genericity_table) decides every point of Gamma at once, so the
+cost no longer grows with the 2^k subset sums.  The literal
+enumerations, is_weakly_generic_enumerated and is_generic_enumerated,
+are kept as cross-check oracles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .rootdata import ODD, RootSystem, Weight, coroot, form, zero_weight
+from .rootdata import ODD, Weight, form, zero_weight
 from .borel import BorelSystem
 from .weyl import dot_action, weyl_group
 
@@ -71,24 +78,16 @@ def gamma_sets(b: BorelSystem, cap: int = 24) -> GammaSets:
     return GammaSets(pack(gamma), pack(gamma_tilde))
 
 
-def _coroot_data(system: RootSystem):
-    return [(r, coroot(r)) for r in system.even_positive]
-
-
 def is_weakly_generic(lam: Weight, b: BorelSystem) -> bool:
     """lambda + GammaTilde confined to one open chamber.
 
     Checked per coroot via the extreme attainable displacements; exact
     and equivalent to enumerating the full multiset.
     """
-    system = b.system
-    shifted = lam + system.rho0
-    odd = [r.weight for r in system.roots if r.parity == ODD]
-    for r, av in _coroot_data(system):
+    shifted = lam + b.system.rho0
+    for av, lo, hi, _ in b.genericity_table:
         base = form(shifted, av)
-        lo = base + sum((p for p in (form(g, av) for g in odd) if p < 0), Fraction(0))
-        hi = base + sum((p for p in (form(g, av) for g in odd) if p > 0), Fraction(0))
-        if lo <= 0 <= hi:
+        if base + lo <= 0 <= base + hi:
             return False
     return True
 
@@ -112,7 +111,24 @@ def is_weakly_generic_enumerated(lam: Weight, b: BorelSystem) -> bool:
 
 
 def is_generic(lam: Weight, b: BorelSystem) -> bool:
-    """Every point of lambda + Gamma is weakly generic."""
+    """Every point of lambda + Gamma is weakly generic.
+
+    lambda + g fails weak genericity at the coroot a exactly when
+    -hi - <lambda + rho0, a> <= <g, a> <= -lo - <lambda + rho0, a>, so
+    one bisection in the sorted scalar subset sums of a decides every g
+    in Gamma at once.
+    """
+    shifted = lam + b.system.rho0
+    for av, lo, hi, sums in b.genericity_table:
+        base = form(shifted, av)
+        i = bisect_left(sums, -hi - base)
+        if i < len(sums) and sums[i] <= -lo - base:
+            return False
+    return True
+
+
+def is_generic_enumerated(lam: Weight, b: BorelSystem) -> bool:
+    """is_generic by visiting every odd subset sum (cross-check oracle)."""
     system = b.system
     odd_negative = [
         r.weight for r in system.roots if r.parity == ODD and r not in b.odd_positive

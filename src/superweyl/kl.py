@@ -123,7 +123,9 @@ class KLTable:
         self._p: dict[tuple[WeylElt, WeylElt], IntPoly] = {}
         self._p_via_r: dict[WeylElt, dict[WeylElt, IntPoly]] = {}
         self._preorder: nx.DiGraph | None = None
+        self._above: dict[WeylElt, frozenset[WeylElt]] = {}
         self._cells: list[frozenset[WeylElt]] | None = None
+        self._cell_index: dict[WeylElt, frozenset[WeylElt]] | None = None
 
     # -- R-polynomials ------------------------------------------------
 
@@ -259,9 +261,17 @@ class KLTable:
         self._preorder = g
         return g
 
+    def left_kl_above(self, x: WeylElt) -> frozenset[WeylElt]:
+        """Every y with x <= y in the left preorder, x included; built
+        once per element from the preorder graph."""
+        above = self._above.get(x)
+        if above is None:
+            above = frozenset(nx.descendants(self._build_preorder(), x) | {x})
+            self._above[x] = above
+        return above
+
     def left_kl_leq(self, x: WeylElt, y: WeylElt) -> bool:
-        g = self._build_preorder()
-        return x == y or nx.has_path(g, x, y)
+        return x == y or y in self.left_kl_above(x)
 
     def left_cells(self) -> list[frozenset[WeylElt]]:
         if self._cells is None:
@@ -275,10 +285,12 @@ class KLTable:
         return self._cells
 
     def cell_of(self, w: WeylElt) -> frozenset[WeylElt]:
-        for c in self.left_cells():
-            if w in c:
-                return c
-        raise ValueError("element not in group")
+        if self._cell_index is None:
+            self._cell_index = {x: c for c in self.left_cells() for x in c}
+        try:
+            return self._cell_index[w]
+        except KeyError:
+            raise ValueError("element not in group") from None
 
     # -- left weak order ------------------------------------------------
 

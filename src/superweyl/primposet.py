@@ -313,7 +313,9 @@ def classical_ideal_leq(
 
     Reduction: the ideal at w o lam equals the one at u o lam for the
     integral part u of w = x u, and within the integral block the order
-    is the left Kazhdan-Lusztig order of the integral Weyl group.
+    is the left Kazhdan-Lusztig order of the integral Weyl group.  This
+    is the per-pair form; generic_poset pulls the order back once per
+    poset through _classical_order.
     """
     int_pos = tuple(
         r for r in positives if form(lam, coroot(r)).denominator == 1
@@ -326,6 +328,31 @@ def classical_ideal_leq(
     _, u2 = coset_factor(comp, sub, w2)
     table = kl_table(sub)
     return table.left_kl_leq(u1, u2)
+
+
+def _classical_order(
+    system: RootSystem,
+    positives: tuple[Root, ...],
+    lam: Weight,
+    elements: Iterable[WeylElt],
+):
+    """classical_ideal_leq restricted to elements, as a pair test.
+
+    The integral positives, the groups, the integral part u(w) of each
+    element and the left-KL upper set of each u(w) are computed once, so
+    a pair costs two dict lookups and a set membership.
+    """
+    int_pos = tuple(
+        r for r in positives if form(lam, coroot(r)).denominator == 1
+    )
+    if not int_pos:
+        return lambda w1, w2: True
+    comp = _component_group(system, tuple(positives))
+    sub = _component_group(system, int_pos)
+    table = kl_table(sub)
+    part = {w: coset_factor(comp, sub, w)[1] for w in set(elements)}
+    above = {u: table.left_kl_above(u) for u in set(part.values())}
+    return lambda w1, w2: part[w2] in above[part[w1]]
 
 
 def _component_split(system: RootSystem, w: WeylElt) -> tuple[WeylElt, WeylElt]:
@@ -383,32 +410,33 @@ def generic_poset(
         )
         if len(int_pos) == len(system.even_positive):
             table = kl_table(W)
+            above = {w: table.left_kl_above(w) for w in W}
             return _order_graph(
-                W, node, lambda w1, w2: table.left_kl_leq(w1, w2), "classical-order"
+                W, node, lambda w1, w2: w2 in above[w1], "classical-order"
             )
         return _q_nonintegral_graph(system, b, Lam, W, node, mode)
 
     if fam.kind == "osp":
         node = _star_nodes(system, b, Lam, W, action="osp")
         eps_pos, del_pos = _component_positives(system)
+        split = {w: _component_split(system, w) for w in W}
+        eps_leq = _classical_order(
+            system, eps_pos, Lam, (a for a, _ in split.values())
+        )
+        del_leq = _classical_order(
+            system, del_pos, Lam, (c for _, c in split.values())
+        )
 
         def leq(w1, w2):
-            a1, c1 = _component_split(system, w1)
-            a2, c2 = _component_split(system, w2)
-            return classical_ideal_leq(
-                system, eps_pos, Lam, a1, a2
-            ) and classical_ideal_leq(system, del_pos, Lam, c1, c2)
+            a1, c1 = split[w1]
+            a2, c2 = split[w2]
+            return eps_leq(a1, a2) and del_leq(c1, c2)
 
         return _order_graph(W, node, leq, "classical-order")
 
     # gl / sl: type I with the distinguished Borel, star orbit = dot orbit
     node = {w: dot_action(w, Lam, b) for w in W}
-
-    def leq(w1, w2):
-        return classical_ideal_leq(
-            system, system.even_positive, Lam, w1, w2
-        )
-
+    leq = _classical_order(system, system.even_positive, Lam, W)
     return _order_graph(W, node, leq, "classical-order")
 
 
@@ -472,28 +500,26 @@ def _q_nonintegral_graph(system, b, Lam, W, node, mode: str) -> InclusionGraph:
             for w2 in ws[i + 1:]:
                 g.add_equality(node[w1], node[w2], "coset-equality")
         return g
+    if mode == "conjectural-left-order":
+        leq = _classical_order(system, system.even_positive, Lam, W)
+        return _order_graph(W, node, leq, "coset-order")
+    if mode != "proved":
+        raise PosetError(f"unknown mode {mode!r}")
+    # proved: some cell-mates of u(w1) and u(w2) are comparable in the
+    # left weak order; decided once per ordered pair of cells
     sub = _component_group(system, int_pos)
     table = kl_table(sub)
-    cells = table.left_cells()
-
-    def cell_of(u):
-        for c in cells:
-            if u in c:
-                return c
-        raise AssertionError
+    cell = {w: table.cell_of(coset_factor(W, sub, w)[1]) for w in W}
+    memo: dict[tuple[frozenset, frozenset], bool] = {}
 
     def leq(w1, w2):
-        _, u1 = coset_factor(W, sub, w1)
-        _, u2 = coset_factor(W, sub, w2)
-        if mode == "conjectural-left-order":
-            return table.left_kl_leq(u1, u2)
-        if mode == "proved":
-            for v1 in cell_of(u1):
-                for v2 in cell_of(u2):
-                    if table.left_weak_leq(v1, v2):
-                        return True
-            return False
-        raise PosetError(f"unknown mode {mode!r}")
+        key = (cell[w1], cell[w2])
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = any(
+                table.left_weak_leq(v1, v2) for v1 in key[0] for v2 in key[1]
+            )
+        return hit
 
     return _order_graph(W, node, leq, "coset-order")
 

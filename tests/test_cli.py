@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from superweyl.cli import main
 
 
@@ -236,6 +238,34 @@ def test_custom_map_from_file(tmp_path, capsys):
     assert json.loads(out)["literal"] == "0,1|-1"
 
 
+@pytest.mark.parametrize(
+    "content",
+    [None, "[1, 2]", "{not json", '{"e1-e2": [1]}'],
+    ids=["missing", "list", "bad-json", "bad-borel"],
+)
+def test_custom_map_file_errors(tmp_path, capsys, content):
+    """A map file that cannot be read, is not JSON or is not an object
+    ends in exit 1 with one diagnostic line, not a traceback."""
+    path = tmp_path / "map.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(
+        capsys,
+        "star",
+        "--family",
+        "gl:2,1",
+        "--weight=1,0|0",
+        "--alpha",
+        "e1-e2",
+        "--map",
+        f"@{path}",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_generic_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "generic", "--family", "gl:2,1", "--weight", "10,5|0"
@@ -243,6 +273,20 @@ def test_generic_subcommand(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["weakly_generic"] is True
+
+
+def test_generic_subcommand_odd_rank_sixteen(capsys):
+    """gl(4|4) has 2^16 odd subset sums; the per-coroot test answers
+    without visiting them."""
+    code, out, _ = run_cli(
+        capsys,
+        "generic",
+        "--family",
+        "gl:4,4",
+        "--weight=400,370,340,310|280,250,220,190",
+    )
+    assert code == 0
+    assert json.loads(out)["generic"] is True
 
 
 def test_dot_export(tmp_path, capsys):

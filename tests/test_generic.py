@@ -4,6 +4,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from superweyl.rootdata import build_root_system, family, weight
 from superweyl.borel import distinguished_borel
@@ -14,6 +15,7 @@ from superweyl.generic import (
     dominance_leq,
     gamma_sets,
     is_generic,
+    is_generic_enumerated,
     is_orbit_maximal,
     is_weakly_generic,
     is_weakly_generic_enumerated,
@@ -85,6 +87,77 @@ def test_weakly_generic_matches_enumeration(any_family):
         assert fast == slow
         hits += fast
     assert hits > 0  # the sample reached the generic region
+
+
+ORACLE_FAMILIES = ["gl:2,1", "gl:3,2", "sl:3,1", "osp:3,2", "osp:4,2", "q:3", "q:4"]
+
+_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-12, max_value=12),
+    st.sampled_from([1, 1, 2, 3]),
+)
+
+
+@st.composite
+def _spread_coords(draw, size):
+    """A descending chain, each term at least three times the next plus
+    a gap of 3*size: no small integer combination of the coordinates
+    comes near a wall, so dominant arrangements are generic."""
+    gap = 3 * size
+    chain, cur = [], 0
+    for _ in range(size):
+        cur = 3 * cur + draw(st.integers(min_value=gap, max_value=2 * gap))
+        chain.append(Fraction(cur))
+    return chain[::-1]
+
+
+@st.composite
+def _oracle_weights(draw, spec):
+    fam = family(spec)
+    size = fam.eps_dim + fam.del_dim
+    if draw(st.booleans()):
+        coords = draw(st.lists(_rationals, min_size=size, max_size=size))
+    else:
+        chain = draw(_spread_coords(size))
+        eps_at = set(draw(st.permutations(range(size)))[: fam.eps_dim])
+        coords = [c for i, c in enumerate(chain) if i in eps_at]
+        coords += [c for i, c in enumerate(chain) if i not in eps_at]
+    eps, dels = coords[: fam.eps_dim], coords[fam.eps_dim :]
+    if fam.kind == "sl":
+        dels[-1] = -(sum(eps) + sum(dels[:-1]))
+    return weight(eps, dels)
+
+
+@pytest.mark.parametrize("spec", ORACLE_FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generic_matches_enumeration(spec, data):
+    """The per-coroot genericity test agrees with visiting every odd
+    subset sum, on random and on spread (generic) weights."""
+    system, b = setup(spec)
+    lam = data.draw(_oracle_weights(spec))
+    assert is_generic(lam, b) == is_generic_enumerated(lam, b)
+
+
+def test_spread_weights_reach_the_generic_region():
+    """The spread chain of the oracle test lands in the generic region,
+    so the comparison above sees both answers."""
+    rng = random.Random(211)
+    for spec in ORACLE_FAMILIES:
+        system, b = setup(spec)
+        fam = system.family
+        size = fam.eps_dim + fam.del_dim
+        gap, chain, cur = 3 * size, [], 0
+        for _ in range(size):
+            cur = 3 * cur + rng.randint(gap, 2 * gap)
+            chain.append(cur)
+        chain.reverse()
+        eps, dels = chain[: fam.eps_dim], chain[fam.eps_dim :]
+        if fam.kind == "sl":
+            dels[-1] = -(sum(eps) + sum(dels[:-1]))
+        lam = weight(eps, dels)
+        assert is_generic_enumerated(lam, b)
+        assert is_generic(lam, b)
 
 
 def test_generic_implies_weakly_generic(any_family):

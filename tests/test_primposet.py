@@ -433,6 +433,108 @@ def test_generic_poset_q4_nonintegral_s3_block():
     assert sizes == [4, 4, 8, 8]
 
 
+def _pairwise_generic_edges(b, Lam, mode):
+    """generic_poset's edge set rebuilt one ordered pair at a time from
+    the per-pair oracles classical_ideal_leq and left_kl_leq, with the
+    cells of the proved q(n) mode found by a scan of left_cells."""
+    from superweyl.primposet import (
+        _component_group,
+        _component_positives,
+        _component_split,
+        _star_nodes,
+        classical_ideal_leq,
+    )
+    from superweyl.rootdata import coroot, form
+    from superweyl.weyl import coset_factor
+
+    system = b.system
+    kind = system.family.kind
+    W = weyl_group(system)
+    tag = "classical-order"
+    if kind in ("gl", "sl"):
+        node = {w: dot_action(w, Lam, b) for w in W}
+
+        def leq(w1, w2):
+            return classical_ideal_leq(system, system.even_positive, Lam, w1, w2)
+
+    elif kind == "osp":
+        node = _star_nodes(system, b, Lam, W, action="osp")
+        eps_pos, del_pos = _component_positives(system)
+
+        def leq(w1, w2):
+            a1, c1 = _component_split(system, w1)
+            a2, c2 = _component_split(system, w2)
+            return classical_ideal_leq(
+                system, eps_pos, Lam, a1, a2
+            ) and classical_ideal_leq(system, del_pos, Lam, c1, c2)
+
+    else:
+        node = _star_nodes(system, b, Lam, W, action="q")
+        int_pos = tuple(
+            r for r in system.even_positive if form(Lam, coroot(r)).denominator == 1
+        )
+        if len(int_pos) == len(system.even_positive):
+            leq = kl_table(W).left_kl_leq
+        elif not int_pos:
+            tag = "coset-equality"
+
+            def leq(w1, w2):
+                return True
+
+        else:
+            tag = "coset-order"
+            sub = _component_group(system, int_pos)
+            table = kl_table(sub)
+
+            def cell_of(u):
+                return next(c for c in table.left_cells() if u in c)
+
+            def leq(w1, w2):
+                u1 = coset_factor(W, sub, w1)[1]
+                u2 = coset_factor(W, sub, w2)[1]
+                if mode == "conjectural-left-order":
+                    return table.left_kl_leq(u1, u2)
+                return any(
+                    table.left_weak_leq(v1, v2)
+                    for v1 in cell_of(u1)
+                    for v2 in cell_of(u2)
+                )
+
+    return {
+        (node[w1], node[w2], tag)
+        for w1 in W
+        for w2 in W
+        if w1 != w2 and leq(w1, w2)
+    }
+
+
+@pytest.mark.parametrize(
+    "spec, literal, mode",
+    [
+        ("gl:3,2", "2846,943,25|309,94", "proved"),
+        ("gl:4,2", "11498,415,127,36|3826,1269", "proved"),
+        ("gl:4,2", "8832,2937,2902/3,286/3|316,20", "proved"),
+        ("osp:4,4", "780,81|255,21", "proved"),
+        ("q:4", "590,192,175/3,43/3", "proved"),
+        ("q:4", "590,192,175/3,43/3", "conjectural-left-order"),
+        ("q:3", "90,181/3,62/3", "proved"),
+    ],
+)
+def test_generic_poset_matches_pairwise_oracles(spec, literal, mode):
+    """The order pulled back once per poset gives exactly the edges of
+    the per-pair oracles: gl integral and 1/3-shifted, osp
+    componentwise, q with mixed integrality in both modes, and q with
+    no integral root."""
+    from superweyl.cli import parse_weight
+
+    system = build_root_system(family(spec))
+    b = distinguished_borel(system)
+    Lam = parse_weight(system, literal)
+    g = generic_poset(b, Lam, mode=mode)
+    assert len(g.nodes) == len(weyl_group(system))
+    assert g.edges == _pairwise_generic_edges(b, Lam, mode)
+
+
 def test_generic_poset_rejects_nongeneric():
     system = build_root_system(Family("q", 2))
     b = distinguished_borel(system)
