@@ -23,6 +23,7 @@ from .rootdata import (
     Root,
     RootSystem,
     Weight,
+    _cached_hash,
     coroot,
     form,
     root_to_json,
@@ -42,6 +43,7 @@ class RhoTriple:
     rho: Weight
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class BorelSystem:
     system: RootSystem
@@ -133,11 +135,6 @@ class BorelSystem:
             ))
         return tuple(out)
 
-    def is_positive(self, r: Root) -> bool:
-        if r.parity == ODD:
-            return r in self.odd_positive
-        return r in self.system.even_positive
-
     def to_json(self) -> dict:
         return {"odd_positive": [root_to_json(r) for r in self.odd_positive_sorted]}
 
@@ -182,7 +179,8 @@ def odd_reflection(b: BorelSystem, gamma: Root) -> BorelSystem:
     if gamma not in b.simple:
         raise OddReflectionError(f"{gamma} is not simple in this system")
     new = BorelSystem(b.system, (b.odd_positive - {gamma}) | {-gamma})
-    assert new.rho == b.rho + gamma.weight, "rho-shift invariant violated"
+    if new.rho != b.rho + gamma.weight:
+        raise RuntimeError("rho-shift invariant violated")
     return new
 
 
@@ -296,7 +294,3 @@ def enumerate_borels(system: RootSystem, cap: int = 10_000) -> list[BorelSystem]
                     nxt.append(nb)
         frontier = nxt
     return sorted(seen.values(), key=lambda b: tuple(r.sort_key() for r in b.odd_positive_sorted))
-
-
-def path_json(path: Sequence[Root]) -> list[dict]:
-    return [root_to_json(r) for r in path]

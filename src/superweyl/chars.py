@@ -122,7 +122,7 @@ def twisted_verma_character_equal(
     from .generic import gamma_sets
 
     system = b.system
-    if alpha not in set(system.simple_even):
+    if alpha not in system.simple_even_set:
         raise ValueError(f"{alpha} is not a simple even root")
     s = reflection_elt(system, alpha)
     rho0 = system.rho0

@@ -271,15 +271,27 @@ def star_inclusion_edges(
             if isinstance(m, StarMap)
             else distinguished_borel(system)
         )
+        # alpha_finite judges osp by the star' image and q by its own
+        # action; when m is that action, it reuses the image made here.
+        # For any other map the image is needed only for an edge.
+        reuse = not isinstance(m, StarMap) or (
+            system.family.kind == "osp"
+            and m == osp_star_map(system, "star_prime")
+        )
         for lam in lams:
             g.add_node(lam)
             for alpha in system.simple_even:
-                moved = apply_generator(m, alpha, lam)
                 if form(lam, coroot(alpha)).denominator != 1:
+                    moved = apply_generator(m, alpha, lam)
                     g.add_equality(lam, moved, "star-equality")
                     continue
-                fin = alpha_finite(lam, alpha, b, order_roots=order_roots)
+                moved = apply_generator(m, alpha, lam) if reuse else None
+                fin = alpha_finite(
+                    lam, alpha, b, order_roots=order_roots, moved=moved
+                )
                 if fin is Finiteness.FINITE:
+                    if moved is None:
+                        moved = apply_generator(m, alpha, lam)
                     g.add_edge(moved, lam, "star-inclusion")
                 elif fin is Finiteness.UNDECIDED:
                     skipped.append((lam, alpha, "undecidable"))

@@ -9,6 +9,14 @@ form is fixed once and for all as
 
 which for q(n) (no delta block) restricts to the positive-definite form
 on the epsilon coordinates.  No floating point appears anywhere.
+
+The value types Weight, Root and RootSystem (and borel.BorelSystem) are
+frozen dataclasses whose hashes are memoised per instance by the private
+class decorator _cached_hash: the dataclass field hash is computed on
+first use and kept under _hash in the instance __dict__.  Equality, repr
+and dataclasses.replace stay field-based, and pickling drops the stored
+hash, because Root's hash includes its parity string and string hashes
+are seeded per process.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence, Union
 
 RatLike = Union[int, str, Fraction]
@@ -76,13 +84,6 @@ class Family:
     def del_dim(self) -> int:
         return 0 if self.kind == "q" else self.n
 
-    @property
-    def is_type_one(self) -> bool:
-        """gl/sl always; osp(2|2n) is the type-I orthosymplectic case."""
-        if self.kind in ("gl", "sl"):
-            return True
-        return self.kind == "osp" and self.m == 2
-
     def __str__(self) -> str:
         if self.kind == "q":
             return f"q({self.m})"
@@ -115,6 +116,35 @@ def family(spec: str) -> Family:
     return Family(kind, nums[0], nums[1])
 
 
+def _cached_hash(cls):
+    """Memoise the dataclass-generated field hash of a frozen dataclass.
+
+    Apply on top of @dataclass(frozen=True): a mixin would not do, since
+    @dataclass overwrites an inherited __hash__.  The hash is stored under
+    _hash in the instance __dict__, outside the fields, and __getstate__
+    leaves it out of pickles and copies.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        d = self.__dict__
+        try:
+            return d["_hash"]
+        except KeyError:
+            h = d["_hash"] = field_hash(self)
+            return h
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_cached_hash
 @dataclass(frozen=True)
 class Weight:
     """Exact rational coordinate vector: eps block then delta block."""
@@ -190,6 +220,7 @@ def form(x: Weight, y: Weight) -> Fraction:
     return s
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Root:
     """A root: weight plus parity tag and isotropy flag.
@@ -236,6 +267,7 @@ def _term(c: Fraction, sym: str) -> str:
     return f"{c}{sym}"
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class RootSystem:
     """Full root datum with the canonical even positive system."""
@@ -249,9 +281,9 @@ class RootSystem:
     def even_roots(self) -> tuple[Root, ...]:
         return tuple(r for r in self.roots if r.parity == EVEN)
 
-    @property
-    def odd_roots(self) -> tuple[Root, ...]:
-        return tuple(r for r in self.roots if r.parity == ODD)
+    @cached_property
+    def simple_even_set(self) -> frozenset[Root]:
+        return frozenset(self.simple_even)
 
     @property
     def rho0(self) -> Weight:
@@ -368,7 +400,8 @@ def build_root_system(fam: Family) -> RootSystem:
         sorted(_simple_basis([r for r in ev_pos]), key=Root.sort_key)
     )
     for r in roots:
-        assert r.isotropic == (form(r.weight, r.weight) == 0)
+        if r.isotropic != (form(r.weight, r.weight) == 0):
+            raise RuntimeError(f"isotropy flag of {r} disagrees with the form")
     return RootSystem(fam, roots, even_positive, simple)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .rootdata import (
@@ -76,9 +77,8 @@ class StarMap:
 
     def __post_init__(self):
         system = self.reference.system
-        simples = set(system.simple_even)
         keys = {a for a, _ in self.assignment}
-        if keys != simples:
+        if keys != system.simple_even_set:
             raise StarActionError(
                 "star map must assign a Borel to every simple even root"
             )
@@ -172,8 +172,10 @@ def _osp_btilde(system: RootSystem) -> BorelSystem:
     return BorelSystem(system, (b.odd_positive - flips) | {-r for r in flips})
 
 
+@lru_cache(maxsize=64)
 def osp_star_map(system: RootSystem, variant: str) -> StarMap:
-    """The two named osp star maps.
+    """The two named osp star maps, built once per (system, variant) so
+    that the transport plans of the returned map are shared.
 
     'star_prime' sends every simple even root to the distinguished
     Borel except 2*d_n, which goes to the system where d_n (m odd) or
@@ -207,7 +209,7 @@ def star_action(map_: StarMap, alpha: Root, lam: Weight) -> Weight:
     system = map_.reference.system
     if system.family.kind == "q":
         raise StarActionError("use star_action_q for q(n)")
-    if alpha not in set(system.simple_even):
+    if alpha not in system.simple_even_set:
         raise StarActionError(f"{alpha} is not a simple even root")
     plan = map_.plan(alpha)
     moved = track_highest_weight(lam, map_.reference, plan.path, rhos=plan.rhos)
@@ -223,7 +225,7 @@ def star_action_q(system: RootSystem, alpha: Root, lam: Weight) -> Weight:
     rho0-shifted one (s_alpha lambda - alpha)."""
     if system.family.kind != "q":
         raise StarActionError("star_action_q requires the q family")
-    if alpha not in set(system.simple_even):
+    if alpha not in system.simple_even_set:
         raise StarActionError(f"{alpha} is not a simple even root")
     s = reflection_elt(system, alpha)
     out = s.apply(lam)
@@ -430,6 +432,7 @@ def alpha_finite(
     b: BorelSystem,
     *,
     order_roots: Sequence[Weight] | None = None,
+    moved: Weight | None = None,
 ) -> Finiteness:
     """Is the simple module with highest weight lam alpha-finite?
 
@@ -439,16 +442,20 @@ def alpha_finite(
     <lambda + rho, alpha_check> in N (the even simple roots are simple
     in the full system and carry no odd root space, so the classical
     reduction applies in both directions).  Anything else: UNDECIDED.
+
+    A caller that already holds s_alpha *' lambda (osp, the star' map)
+    or the q image passes it as moved; otherwise it is computed here.
     """
     system = b.system
     fam = system.family
-    if alpha not in set(system.simple_even):
+    if alpha not in system.simple_even_set:
         raise StarActionError(f"{alpha} is not a simple even root")
     roots = list(order_roots) if order_roots is not None else default_order_roots(b)
     if fam.kind == "q":
         if form(lam, coroot(alpha)).denominator != 1:
             return Finiteness.FREE
-        moved = star_action_q(system, alpha, lam)
+        if moved is None:
+            moved = star_action_q(system, alpha, lam)
         return (
             Finiteness.FINITE
             if dominance_lt(moved, lam, roots)
@@ -459,7 +466,8 @@ def alpha_finite(
             return Finiteness.UNDECIDED
         if form(lam, coroot(alpha)).denominator != 1:
             return Finiteness.FREE
-        moved = star_action(osp_star_map(system, "star_prime"), alpha, lam)
+        if moved is None:
+            moved = star_action(osp_star_map(system, "star_prime"), alpha, lam)
         return (
             Finiteness.FINITE
             if dominance_lt(moved, lam, roots)

@@ -130,12 +130,14 @@ def reflection_elt(system: RootSystem, alpha: Root) -> WeylElt:
     eps = []
     for i in range(fam.eps_dim):
         kind, idx, s = image_of(basis_eps(fam, i))
-        assert kind == "e"
+        if kind != "e":
+            raise ValueError(f"{alpha} mixes the eps and delta coordinates")
         eps.append(s * (idx + 1))
     dels = []
     for j in range(fam.del_dim):
         kind, idx, s = image_of(basis_del(fam, j))
-        assert kind == "d"
+        if kind != "d":
+            raise ValueError(f"{alpha} mixes the eps and delta coordinates")
         dels.append(s * (idx + 1))
     return WeylElt(tuple(eps), tuple(dels))
 

@@ -1,9 +1,17 @@
 """Root datum construction, the bilinear form, and coroots."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from superweyl.borel import distinguished_borel
 from superweyl.rootdata import (
     EVEN,
     ODD,
@@ -145,3 +153,58 @@ def test_weight_json_roundtrip():
     obj = weight_to_json(w)
     assert obj == {"eps": ["1/2", "-3"], "del": ["5/3"]}
     assert weight_from_json(obj) == w
+
+
+# --- memoised hashes ---------------------------------------------------------
+
+def _hashed_values():
+    system = rs("osp", 3, 1)
+    b = distinguished_borel(system)
+    return [weight([1, "1/2"], [-3]), system.roots[-1], system, b]
+
+
+def _field_hash(obj):
+    return hash(tuple(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+
+
+@pytest.mark.parametrize("idx", range(4), ids=["Weight", "Root", "RootSystem", "BorelSystem"])
+def test_cached_hash_is_the_field_hash(idx):
+    obj = _hashed_values()[idx]
+    fresh_repr = repr(obj)
+    assert hash(obj) == _field_hash(obj)
+    assert "_hash" in obj.__dict__
+    assert repr(obj) == fresh_repr and "_hash" not in repr(obj)
+    twin = dataclasses.replace(obj)
+    assert "_hash" not in twin.__dict__
+    assert twin == obj and hash(twin) == hash(obj)
+    dup = copy.copy(obj)
+    assert "_hash" not in dup.__dict__
+    assert dup == obj and hash(dup) == _field_hash(dup)
+
+
+def test_cached_hash_survives_pickle_under_another_hash_seed():
+    system = rs("osp", 3, 1)
+    b = distinguished_borel(system)
+    for obj in (*system.roots, system, b):
+        hash(obj)
+    blob = pickle.dumps((system, b))
+    child = r"""
+import pickle, sys
+from superweyl.rootdata import build_root_system, Family
+from superweyl.borel import distinguished_borel
+system, b = pickle.loads(sys.stdin.buffer.read())
+fresh = build_root_system(Family("osp", 3, 1))
+assert all(r in set(fresh.roots) for r in system.roots)
+assert hash(system) == hash(fresh)
+assert {distinguished_borel(fresh): "found"}[b] == "found"
+"""
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", child], input=blob, env=env, capture_output=True
+    )
+    assert out.returncode == 0, out.stderr.decode()

@@ -9,11 +9,13 @@ from fractions import Fraction
 from superweyl.rootdata import EVEN, ODD, build_root_system, coroot, family, form, weight
 from superweyl.borel import distinguished_borel
 from superweyl.generic import is_weakly_generic
+from superweyl.primposet import star_inclusion_edges
 from superweyl.star import (
     Finiteness,
     alpha_finite,
     alpha_finite_direct,
     antidistinguished_star_map,
+    apply_generator,
     osp_star_map,
     star_action,
     star_action_q,
@@ -479,3 +481,59 @@ def test_alpha_finite_star_vs_direct_osp32():
             star_side = alpha_finite(lam, e1, b)
             direct = alpha_finite_direct(lam, e1, b, b)
             assert star_side == direct, (a, c)
+
+
+# --- the shared star' map and the reused generator image ---------------------
+
+def test_osp_star_map_is_built_once():
+    system = build_root_system(family("osp:4,2"))
+    for variant in ("star", "star_prime"):
+        assert osp_star_map(system, variant) is osp_star_map(system, variant)
+    assert osp_star_map.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("spec", ["osp:3,2", "osp:4,2", "q:3", "q:4"])
+def test_alpha_finite_with_moved_matches_without(spec):
+    system, b = setup(spec)
+    m = osp_star_map(system, "star_prime") if system.family.kind == "osp" else system
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(40):
+        lam = random_weight(rng, system.family, span=4, dens=(1, 1, 2))
+        for alpha in system.simple_even:
+            if form(lam, coroot(alpha)).denominator != 1:
+                continue
+            moved = apply_generator(m, alpha, lam)
+            fin = alpha_finite(lam, alpha, b)
+            assert alpha_finite(lam, alpha, b, moved=moved) is fin, (str(lam), str(alpha))
+            seen.add(fin)
+    assert seen == {Finiteness.FINITE, Finiteness.FREE}
+
+
+def test_star_inclusion_edges_osp_star_map_fixed_input():
+    """The osp 'star' map is not the star' map that alpha_finite judges
+    by, so its edges must use its own image; pinned on osp(3|4), where
+    the two maps give different edges."""
+    system = build_root_system(family("osp:3,4"))
+    lams = [
+        weight([-2], [2, 2]),
+        weight([1], [3, 1]),
+        weight([Fraction(1, 2)], [2, 1]),
+        weight([0], [Fraction(1, 2), -1]),
+    ]
+    g, skipped = star_inclusion_edges([osp_star_map(system, "star")], lams)
+    assert skipped == []
+    assert sorted((str(a), str(c), t) for a, c, t in g.edges) == [
+        ("-1|1/2,-1", "0|1/2,-1", "star-inclusion"),
+        ("-2|3,1", "1|3,1", "star-inclusion"),
+        ("-3/2|2,1", "1/2|2,1", "star-inclusion"),
+        ("-3|2,-2", "-2|2,2", "star-inclusion"),
+        ("-3|2,3", "-2|2,2", "star-inclusion"),
+        ("0|-2,3/2", "0|1/2,-1", "star-equality"),
+        ("0|1/2,-1", "0|-2,3/2", "star-equality"),
+        ("1/2|0,3", "1/2|2,1", "star-inclusion"),
+        ("1/2|2,0", "1/2|2,1", "star-inclusion"),
+        ("1|0,4", "1|3,1", "star-inclusion"),
+        ("1|3,0", "1|3,1", "star-inclusion"),
+    ]
+    assert len(g.nodes) == 14
