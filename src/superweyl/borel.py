@@ -7,12 +7,11 @@ isotropic simple root gamma to -gamma moves to an adjacent system and
 shifts rho by gamma.  Transporting the highest weight of a fixed simple
 module along a chain of such flips follows a per-step rule: subtract
 gamma unless <lambda + rho, gamma> = 0.  The equivalent cumulative form
-is kept alongside as a redundant oracle; disagreement is a bug detector.
+is the cross-check oracle superweyl.oracles.track_highest_weight_cumulative.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -20,6 +19,7 @@ from typing import Sequence
 
 from .rootdata import (
     ODD,
+    CapExceeded,
     Root,
     RootSystem,
     Weight,
@@ -28,6 +28,8 @@ from .rootdata import (
     form,
     root_to_json,
     root_from_json,
+    simple_basis,
+    subset_sums,
     zero_weight,
 )
 
@@ -70,20 +72,7 @@ class BorelSystem:
     @cached_property
     def simple(self) -> tuple[Root, ...]:
         """Minimal generating basis: positives not a sum of two positives."""
-        positives = self.positive
-        vectors = []
-        seen = set()
-        for r in positives:
-            k = r.weight.sort_key()
-            if k not in seen:
-                seen.add(k)
-                vectors.append(r.weight)
-        sums = set()
-        for a, b in itertools.combinations_with_replacement(vectors, 2):
-            sums.add((a + b).sort_key())
-        return tuple(
-            r for r in positives if r.weight.sort_key() not in sums
-        )
+        return simple_basis(self.positive)
 
     @cached_property
     def simple_isotropic(self) -> tuple[Root, ...]:
@@ -123,10 +112,10 @@ class BorelSystem:
         for alpha in self.system.even_positive:
             av = coroot(alpha)
             pairings = [form(r.weight, av) for r in odd]
-            sums = {Fraction(0)}
-            for r, p in zip(odd, pairings):
-                if r not in self.odd_positive:
-                    sums |= {s + p for s in sums}
+            sums = subset_sums(
+                Fraction(0),
+                [p for r, p in zip(odd, pairings) if r not in self.odd_positive],
+            )
             out.append((
                 av,
                 sum((p for p in pairings if p < 0), Fraction(0)),
@@ -248,35 +237,6 @@ def track_highest_weight(
     return cur
 
 
-def track_highest_weight_cumulative(
-    lam: Weight, b: BorelSystem, path: Sequence[Root]
-) -> Weight:
-    """Cumulative form of the tracking rule (redundant oracle).
-
-    Picks the subsequence gamma_1, gamma_2, ... of path greedily: the
-    next gamma_s is the first remaining path entry with
-    <lambda + gamma_1 + ... + gamma_{s-1} + rho, entry> = 0.  The result
-    is lambda - sum(path) + sum(chosen).  Agrees with the per-step rule.
-    """
-    rho = b.rho
-    chosen = zero_weight(b.system.family)
-    start = 0
-    while True:
-        hit = None
-        for i in range(start, len(path)):
-            if form(lam + chosen + rho, path[i].weight) == 0:
-                hit = i
-                break
-        if hit is None:
-            break
-        chosen = chosen + path[hit].weight
-        start = hit + 1
-    total = zero_weight(b.system.family)
-    for g in path:
-        total = total + g.weight
-    return lam - total + chosen
-
-
 def enumerate_borels(system: RootSystem, cap: int = 10_000) -> list[BorelSystem]:
     """All positive systems sharing the canonical even part (BFS by flips)."""
     start = distinguished_borel(system)
@@ -289,7 +249,7 @@ def enumerate_borels(system: RootSystem, cap: int = 10_000) -> list[BorelSystem]
                 nb = odd_reflection(bsys, g)
                 if nb.odd_positive not in seen:
                     if len(seen) >= cap:
-                        raise RuntimeError(f"Borel enumeration cap {cap} exceeded")
+                        raise CapExceeded(f"Borel enumeration cap {cap} exceeded")
                     seen[nb.odd_positive] = nb
                     nxt.append(nb)
         frontier = nxt

@@ -12,18 +12,20 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .rootdata import (
     ODD,
+    CapExceeded,
     Root,
     RootSystem,
     Weight,
     form,
+    subset_sums,
     weight_to_json,
 )
 from .borel import BorelSystem
-from .generic import CapExceededError, is_weakly_generic
+from .generic import is_weakly_generic
 from .typicality import bar_root
 from .weyl import dot_action, reflection_elt
 
@@ -89,27 +91,16 @@ def _odd_negatives(b: BorelSystem) -> list[Weight]:
     ]
 
 
-def _subset_sum_multiset(lam: Weight, vectors: Sequence[Weight]) -> Counter:
-    acc = Counter({lam: 1})
-    for v in vectors:
-        nxt = Counter()
-        for w, m in acc.items():
-            nxt[w] += m
-            nxt[w + v] += m
-        acc = nxt
-    return acc
-
-
 def verma_restriction_weights(
     lam: Weight, b: BorelSystem, cap: int = 24
 ) -> VermaRestriction:
     """Multiset {lambda + sum(I) : I over the negative odd roots}."""
     negatives = _odd_negatives(b)
     if len(negatives) > cap:
-        raise CapExceededError(
+        raise CapExceeded(
             f"{len(negatives)} negative odd roots exceed the cap {cap}"
         )
-    ms = WeightMultiset.from_counter(_subset_sum_multiset(lam, negatives))
+    ms = WeightMultiset.from_counter(subset_sums(lam, negatives))
     symbol = "k" if b.system.family.kind == "q" else None
     return VermaRestriction(ms, symbol)
 
@@ -179,7 +170,5 @@ def penkov_decomposition_q(
         raise ValueError("pairing must be 'printed' or 'bar'")
     s_roots = [r.weight for r in b.odd_positive_sorted if key(r) != 0]
     if len(s_roots) > cap:
-        raise CapExceededError("subset cap exceeded")
-    return WeightMultiset.from_counter(
-        _subset_sum_multiset(lam, [-w for w in s_roots])
-    )
+        raise CapExceeded("subset cap exceeded")
+    return WeightMultiset.from_counter(subset_sums(lam, [-w for w in s_roots]))

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .rootdata import (
     EVEN,
     ODD,
+    CapExceeded,
     FamilyError,
     Root,
     RootSystem,
@@ -44,7 +45,6 @@ from .chars import (
     verma_restriction_weights,
 )
 from .generic import (
-    CapExceededError,
     is_generic,
     is_orbit_maximal,
     is_weakly_generic,
@@ -70,11 +70,7 @@ from .star import (
     trivial_star_map,
 )
 from .typicality import atypicality
-from .weyl import (
-    CapExceeded,
-    chamber,
-    weyl_group,
-)
+from .weyl import chamber, weyl_group
 
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
@@ -443,7 +439,7 @@ def main(argv=None) -> int:
     except (CliParseError, FamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CapExceeded, CapExceededError) as exc:
+    except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (

@@ -13,49 +13,27 @@ it.  For genericity each coroot fails on an interval of pairings, and
 one bisection in the sorted scalar subset sums of that coroot (the
 Borel's genericity_table) decides every point of Gamma at once, so the
 cost no longer grows with the 2^k subset sums.  The literal
-enumerations, is_weakly_generic_enumerated and is_generic_enumerated,
-are kept as cross-check oracles.
+enumerations are the cross-check oracles is_weakly_generic_enumerated
+and is_generic_enumerated in superweyl.oracles.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .rootdata import ODD, Weight, form, zero_weight
+from .rootdata import ODD, CapExceeded, Weight, form, subset_sums, zero_weight
 from .borel import BorelSystem
 from .weyl import dot_action, weyl_group
-
-
-class CapExceededError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
 class GammaSets:
     gamma: tuple[tuple[Weight, int], ...]
     gamma_tilde: tuple[tuple[Weight, int], ...]
-
-    def gamma_counter(self) -> Counter:
-        return Counter(dict(self.gamma))
-
-    def gamma_tilde_counter(self) -> Counter:
-        return Counter(dict(self.gamma_tilde))
-
-
-def _subset_sums(vectors: Sequence[Weight], zero: Weight) -> Counter:
-    sums = Counter({zero: 1})
-    for v in vectors:
-        nxt = Counter()
-        for w, mult in sums.items():
-            nxt[w] += mult
-            nxt[w + v] += mult
-        sums = nxt
-    return sums
 
 
 @lru_cache(maxsize=None)
@@ -64,15 +42,15 @@ def gamma_sets(b: BorelSystem, cap: int = 24) -> GammaSets:
     system = b.system
     odd = [r for r in system.roots if r.parity == ODD]
     if len(odd) > cap:
-        raise CapExceededError(
+        raise CapExceeded(
             f"|odd roots| = {len(odd)} exceeds the subset-sum cap {cap}"
         )
     zero = zero_weight(system.family)
     negatives = [r.weight for r in odd if r not in b.odd_positive]
-    gamma = _subset_sums(negatives, zero)
-    gamma_tilde = _subset_sums([r.weight for r in odd], zero)
+    gamma = subset_sums(zero, negatives)
+    gamma_tilde = subset_sums(zero, [r.weight for r in odd])
 
-    def pack(c: Counter):
+    def pack(c):
         return tuple(sorted(c.items(), key=lambda kv: kv[0].sort_key()))
 
     return GammaSets(pack(gamma), pack(gamma_tilde))
@@ -92,24 +70,6 @@ def is_weakly_generic(lam: Weight, b: BorelSystem) -> bool:
     return True
 
 
-def is_weakly_generic_enumerated(lam: Weight, b: BorelSystem) -> bool:
-    """Literal definition by enumeration (cross-check oracle)."""
-    from .weyl import chamber, is_regular
-
-    system = b.system
-    sets = gamma_sets(b)
-    sign = None
-    for g, _ in sets.gamma_tilde:
-        c = chamber(system, lam + g)
-        if 0 in c:
-            return False
-        if sign is None:
-            sign = c
-        elif c != sign:
-            return False
-    return True
-
-
 def is_generic(lam: Weight, b: BorelSystem) -> bool:
     """Every point of lambda + Gamma is weakly generic.
 
@@ -123,19 +83,6 @@ def is_generic(lam: Weight, b: BorelSystem) -> bool:
         base = form(shifted, av)
         i = bisect_left(sums, -hi - base)
         if i < len(sums) and sums[i] <= -lo - base:
-            return False
-    return True
-
-
-def is_generic_enumerated(lam: Weight, b: BorelSystem) -> bool:
-    """is_generic by visiting every odd subset sum (cross-check oracle)."""
-    system = b.system
-    odd_negative = [
-        r.weight for r in system.roots if r.parity == ODD and r not in b.odd_positive
-    ]
-    zero = zero_weight(system.family)
-    for g in _subset_sums(odd_negative, zero):
-        if not is_weakly_generic(lam + g, b):
             return False
     return True
 

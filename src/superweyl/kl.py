@@ -1,11 +1,10 @@
 """Kazhdan-Lusztig combinatorics on finite Coxeter groups: R- and
 KL-polynomials, mu-values, the left preorder and left cells.
 
-Two routes compute the KL polynomials: the direct canonical-basis
-recursion, and inversion of the R-polynomial identity
-q^(l(y)-l(x)) P_xy(1/q) - P_xy(q) = sum_z R_xz(q) P_zy(q) over x < z <= y,
-whose degree split determines P_xy uniquely.  The routes share nothing
-beyond the group itself and are cross-checked in the tests.
+The KL polynomials come from the direct canonical-basis recursion.  The
+independent route through the R-polynomials, kl_polynomial_via_r in
+superweyl.oracles, shares nothing with it beyond the group itself and
+is cross-checked against it in the tests.
 
 Orientation of the left order: x <= y when the basis element of x
 appears in some product of the algebra with the basis element of y.  In
@@ -22,6 +21,7 @@ from typing import Sequence
 
 import networkx as nx
 
+from .rootdata import CapExceeded
 from .weyl import CoxeterGroup, WeylElt
 
 
@@ -109,7 +109,6 @@ class IntPoly:
 
 ONE = IntPoly((1,))
 Q = IntPoly((0, 1))
-Q_MINUS_1 = IntPoly((-1, 1))
 
 
 class KLTable:
@@ -117,39 +116,13 @@ class KLTable:
 
     def __init__(self, group: CoxeterGroup, cap: int = 10**4):
         if len(group) > cap:
-            raise RuntimeError(f"group of order {len(group)} exceeds cap {cap}")
+            raise CapExceeded(f"group of order {len(group)} exceeds cap {cap}")
         self.group = group
-        self._r: dict[tuple[WeylElt, WeylElt], IntPoly] = {}
         self._p: dict[tuple[WeylElt, WeylElt], IntPoly] = {}
-        self._p_via_r: dict[WeylElt, dict[WeylElt, IntPoly]] = {}
         self._preorder: nx.DiGraph | None = None
         self._above: dict[WeylElt, frozenset[WeylElt]] = {}
         self._cells: list[frozenset[WeylElt]] | None = None
         self._cell_index: dict[WeylElt, frozenset[WeylElt]] | None = None
-
-    # -- R-polynomials ------------------------------------------------
-
-    def r_polynomial(self, x: WeylElt, y: WeylElt) -> IntPoly:
-        key = (x, y)
-        if key in self._r:
-            return self._r[key]
-        G = self.group
-        if x == y:
-            out = ONE
-        elif not G.bruhat_leq(x, y):
-            out = IntPoly()
-        else:
-            i = next(iter(G.left_descents(y)))
-            s = G.generators[i]
-            sy, sx = s.compose(y), s.compose(x)
-            if G.length(sx) < G.length(x):
-                out = self.r_polynomial(sx, sy)
-            else:
-                out = Q_MINUS_1 * self.r_polynomial(x, sy) + Q * self.r_polynomial(
-                    sx, sy
-                )
-        self._r[key] = out
-        return out
 
     # -- KL polynomials, direct recursion -----------------------------
 
@@ -196,48 +169,7 @@ class KLTable:
     def mu_sym(self, x: WeylElt, y: WeylElt) -> int:
         return self.mu(x, y) if self.group.length(x) < self.group.length(y) else self.mu(y, x)
 
-    # -- KL polynomials via R-inversion (independent oracle) ----------
-
-    def kl_polynomial_via_r(self, x: WeylElt, y: WeylElt) -> IntPoly:
-        if y not in self._p_via_r:
-            self._p_via_r[y] = self._solve_column(y)
-        return self._p_via_r[y].get(x, IntPoly())
-
-    def _solve_column(self, y: WeylElt) -> dict[WeylElt, IntPoly]:
-        G = self.group
-        below = [z for z in G.elements if G.bruhat_leq(z, y)]
-        below.sort(key=G.length, reverse=True)
-        col: dict[WeylElt, IntPoly] = {y: ONE}
-        for x in below:
-            if x == y:
-                continue
-            l = G.length(y) - G.length(x)
-            f = IntPoly()
-            for z in below:
-                if z == x or not G.bruhat_leq(x, z):
-                    continue
-                f = f + self.r_polynomial(x, z) * col[z]
-            # q^l P(1/q) - P = f; P holds the low half negated
-            limit = (l - 1) // 2
-            p = IntPoly.of([-f.coeff(i) for i in range(limit + 1)])
-            # upper half of f must mirror p, middle must vanish
-            for i in range(limit + 1):
-                if f.coeff(l - i) != p.coeff(i):
-                    raise AssertionError(
-                        "R-inversion failed the mirror consistency check"
-                    )
-            for i in range(limit + 1, l - limit):
-                if f.coeff(i) != 0:
-                    raise AssertionError(
-                        "R-inversion failed the middle-vanishing check"
-                    )
-            col[x] = p
-        return col
-
     # -- left preorder and cells ---------------------------------------
-
-    def left_descent_set(self, w: WeylElt) -> frozenset[int]:
-        return self.group.left_descents(w)
 
     def _build_preorder(self) -> nx.DiGraph:
         if self._preorder is not None:

@@ -29,6 +29,7 @@ from .rootdata import (
     build_root_system,
     coroot,
     form,
+    simple_basis,
     weight,
     weight_to_json,
     zero_weight,
@@ -56,7 +57,6 @@ from .weyl import (
     reflection_elt,
     weyl_group,
 )
-from .rootdata import _simple_basis
 
 
 class PosetError(ValueError):
@@ -309,37 +309,9 @@ def _component_group(
     key = (system, positives)
     if key not in _component_groups:
         _component_groups[key] = CoxeterGroup(
-            system, _simple_basis(list(positives)), positive_roots=positives
+            system, simple_basis(positives), positive_roots=positives
         )
     return _component_groups[key]
-
-
-def classical_ideal_leq(
-    system: RootSystem,
-    positives: tuple[Root, ...],
-    lam: Weight,
-    w1: WeylElt,
-    w2: WeylElt,
-) -> bool:
-    """Inclusion order of the even-algebra annihilators at w o lam.
-
-    Reduction: the ideal at w o lam equals the one at u o lam for the
-    integral part u of w = x u, and within the integral block the order
-    is the left Kazhdan-Lusztig order of the integral Weyl group.  This
-    is the per-pair form; generic_poset pulls the order back once per
-    poset through _classical_order.
-    """
-    int_pos = tuple(
-        r for r in positives if form(lam, coroot(r)).denominator == 1
-    )
-    if not int_pos:
-        return True  # trivial integral group: one ideal per block family
-    comp = _component_group(system, tuple(positives))
-    sub = _component_group(system, int_pos)
-    _, u1 = coset_factor(comp, sub, w1)
-    _, u2 = coset_factor(comp, sub, w2)
-    table = kl_table(sub)
-    return table.left_kl_leq(u1, u2)
 
 
 def _classical_order(
@@ -348,11 +320,16 @@ def _classical_order(
     lam: Weight,
     elements: Iterable[WeylElt],
 ):
-    """classical_ideal_leq restricted to elements, as a pair test.
+    """Inclusion order of the even-algebra annihilators at w o lam,
+    restricted to elements, as a pair test.
 
-    The integral positives, the groups, the integral part u(w) of each
+    Reduction: the ideal at w o lam equals the one at u o lam for the
+    integral part u of w = x u, and within the integral block the order
+    is the left Kazhdan-Lusztig order of the integral Weyl group.  The
+    integral positives, the groups, the integral part u(w) of each
     element and the left-KL upper set of each u(w) are computed once, so
-    a pair costs two dict lookups and a set membership.
+    a pair costs two dict lookups and a set membership.  The per-pair
+    form is the oracle superweyl.oracles.classical_ideal_leq.
     """
     int_pos = tuple(
         r for r in positives if form(lam, coroot(r)).denominator == 1

@@ -22,6 +22,7 @@ are seeded per process.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -35,6 +36,10 @@ ODD = "odd"
 
 class FamilyError(ValueError):
     """Invalid family parameters (e.g. sl(n|n), osp with n=0)."""
+
+
+class CapExceeded(RuntimeError):
+    """A configurable enumeration cap was hit."""
 
 
 def _rat(x: RatLike) -> Fraction:
@@ -289,9 +294,6 @@ class RootSystem:
     def rho0(self) -> Weight:
         return _rho0(self)
 
-    def coroot(self, alpha: Root) -> Weight:
-        return coroot(alpha)
-
     def check_weight(self, w: Weight) -> Weight:
         """Validate dimensions (and the trace-zero constraint for sl)."""
         fam = self.family
@@ -320,6 +322,7 @@ def _rho0(system: RootSystem) -> Weight:
     return acc * Fraction(1, 2)
 
 
+@lru_cache(maxsize=1024)
 def coroot(alpha: Root) -> Weight:
     """2*alpha / <alpha, alpha>; defined for non-isotropic even roots."""
     if alpha.parity != EVEN:
@@ -396,48 +399,51 @@ def build_root_system(fam: Family) -> RootSystem:
 
     roots = tuple(_with_negatives(ev_pos) + _with_negatives(odd_pos))
     even_positive = tuple(sorted(ev_pos, key=Root.sort_key))
-    simple = tuple(
-        sorted(_simple_basis([r for r in ev_pos]), key=Root.sort_key)
-    )
+    simple = tuple(sorted(simple_basis(ev_pos), key=Root.sort_key))
     for r in roots:
         if r.isotropic != (form(r.weight, r.weight) == 0):
             raise RuntimeError(f"isotropy flag of {r} disagrees with the form")
     return RootSystem(fam, roots, even_positive, simple)
 
 
-def _simple_basis(positives: Sequence[Root]) -> list[Root]:
-    """Roots of a positive system not expressible as a sum of two of them."""
-    vectors = {}
-    for r in positives:
-        vectors.setdefault(r.weight.sort_key(), r.weight)
-    sums = set()
-    vals = list(vectors.values())
-    for a, b in itertools.combinations_with_replacement(vals, 2):
-        sums.add((a + b).sort_key())
-    return [r for r in positives if r.weight.sort_key() not in sums]
+def simple_basis(positives: Sequence[Root]) -> tuple[Root, ...]:
+    """The roots of a positive system that are not a sum of two of its
+    roots, in the order given: the simple roots of a Borel, the simple
+    even roots, and Pi_lambda of an integral Weyl group."""
+    vectors = {r.weight for r in positives}
+    sums = {a + b for a, b in itertools.combinations_with_replacement(vectors, 2)}
+    return tuple(r for r in positives if r.weight not in sums)
+
+
+def subset_sums(start, vectors: Sequence) -> Counter:
+    """The multiset {start + sum(I) : I a subset of vectors}.
+
+    Works for weights and for scalars alike; the odd subset sums behind
+    Gamma, GammaTilde and the Verma filtration all come from here.
+    """
+    sums = Counter({start: 1})
+    for v in vectors:
+        nxt = Counter()
+        for w, mult in sums.items():
+            nxt[w] += mult
+            nxt[w + v] += mult
+        sums = nxt
+    return sums
 
 
 # --- JSON encoding -------------------------------------------------------
 
-def rational_to_str(x: Fraction) -> str:
-    return str(x)
-
-
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def weight_to_json(w: Weight) -> dict:
     return {
-        "eps": [rational_to_str(a) for a in w.eps],
-        "del": [rational_to_str(a) for a in w.dels],
+        "eps": [str(a) for a in w.eps],
+        "del": [str(a) for a in w.dels],
     }
 
 
 def weight_from_json(obj: dict) -> Weight:
     return Weight(
-        tuple(rational_from_str(s) for s in obj.get("eps", [])),
-        tuple(rational_from_str(s) for s in obj.get("del", [])),
+        tuple(Fraction(s) for s in obj.get("eps", [])),
+        tuple(Fraction(s) for s in obj.get("del", [])),
     )
 
 

@@ -64,10 +64,6 @@ def atypicality(lam: Weight, b: BorelSystem) -> AtypicalityReport:
     return AtypicalityReport(lam, atyp, typical, strong, False)
 
 
-def is_typical(lam: Weight, b: BorelSystem) -> bool:
-    return atypicality(lam, b).typical
-
-
 def check_orthogonal_atypicality(lam: Weight, b: BorelSystem) -> bool:
     """A dot-regular weight is never atypical at two non-orthogonal roots.
 

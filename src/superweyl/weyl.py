@@ -9,13 +9,13 @@ subgroups (integral Weyl groups W_lambda) with their own simple systems.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .rootdata import (
+    CapExceeded,
     Root,
     RootSystem,
     Weight,
@@ -23,12 +23,9 @@ from .rootdata import (
     basis_eps,
     coroot,
     form,
+    simple_basis,
 )
 from .borel import BorelSystem
-
-
-class CapExceeded(RuntimeError):
-    """A configurable enumeration cap was hit."""
 
 
 class LatticeMismatchError(RuntimeError):
@@ -286,9 +283,6 @@ class CoxeterGroup:
 
         return rec(w)
 
-    def elements_of_length(self, l: int) -> list[WeylElt]:
-        return [w for w in self.elements if self._length[w] == l]
-
 
 @lru_cache(maxsize=None)
 def weyl_group(system: RootSystem, cap: int = 10**6) -> CoxeterGroup:
@@ -328,12 +322,7 @@ def integral_positive(system: RootSystem, lam: Weight) -> tuple[Root, ...]:
 
 def integral_simples(system: RootSystem, lam: Weight) -> tuple[Root, ...]:
     """Simple basis Pi_lambda of the integral positive subsystem."""
-    pos = integral_positive(system, lam)
-    sums = set()
-    vecs = [r.weight for r in pos]
-    for a, b in itertools.combinations_with_replacement(vecs, 2):
-        sums.add((a + b).sort_key())
-    return tuple(r for r in pos if r.weight.sort_key() not in sums)
+    return simple_basis(integral_positive(system, lam))
 
 
 def in_even_root_lattice(system: RootSystem, v: Weight) -> bool:
@@ -460,14 +449,3 @@ def is_dot_regular(lam: Weight, b: BorelSystem) -> bool:
     shifted = lam + b.rho
     return all(form(shifted, coroot(r)) != 0 for r in b.system.even_positive)
 
-
-def is_dominant_regular(system: RootSystem, lam: Weight) -> bool:
-    return all(s == 1 for s in chamber(system, lam))
-
-
-def weyl_elt_to_json(group: CoxeterGroup, w: WeylElt) -> dict:
-    return {"word": list(group.word_of(w))}
-
-
-def weyl_elt_from_json(group: CoxeterGroup, obj: dict) -> WeylElt:
-    return group.from_word(obj["word"])

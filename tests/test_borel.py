@@ -22,8 +22,8 @@ from superweyl.borel import (
     path_rhos,
     reverse_path,
     track_highest_weight,
-    track_highest_weight_cumulative,
 )
+from superweyl.oracles import track_highest_weight_cumulative
 from superweyl.typicality import atypicality
 
 from conftest import random_weight

@@ -303,3 +303,20 @@ def test_dot_export(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text().startswith("graph star_orbit {")
+
+
+def test_verify_reports_a_planted_bug(monkeypatch, capsys):
+    """A star action that is not an involution fails the involution
+    suite: run_suite says so, and the CLI exits 4."""
+    import superweyl.verify as verify
+
+    monkeypatch.setattr(
+        verify, "apply_generator", lambda m, alpha, lam: lam + alpha.weight
+    )
+    ok, msgs = verify.run_suite("involution")
+    assert not ok
+    assert any("involution broken" in m for m in msgs)
+    code, out, err = run_cli(capsys, "verify", "involution")
+    assert code == 4
+    assert json.loads(out) == {"suite": "involution", "passed": False}
+    assert "involution broken" in err

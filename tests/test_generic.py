@@ -6,20 +6,18 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from superweyl.rootdata import build_root_system, family, weight
+from superweyl.rootdata import CapExceeded, build_root_system, family, weight
 from superweyl.borel import distinguished_borel
 from superweyl.weyl import dot_action, circle_action, weyl_group
 from superweyl.generic import (
-    CapExceededError,
     default_order_roots,
     dominance_leq,
     gamma_sets,
     is_generic,
-    is_generic_enumerated,
     is_orbit_maximal,
     is_weakly_generic,
-    is_weakly_generic_enumerated,
 )
+from superweyl.oracles import is_generic_enumerated, is_weakly_generic_enumerated
 
 from conftest import random_weight
 
@@ -62,7 +60,7 @@ def test_gamma_tilde_q2():
 
 def test_gamma_cap():
     system, b = setup("gl:3,2")
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceeded):
         gamma_sets(b, 4)
 
 

@@ -96,7 +96,9 @@ def test_golden_corpus_optimised_other_hash_seed(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
-    for case, got in zip(load_cases(), results):
+    cases = load_cases()
+    assert len(results) == len(cases)
+    for case, got in zip(cases, results):
         assert got == expected(case), case["name"]
 
 

@@ -15,6 +15,7 @@ from superweyl.borel import distinguished_borel
 from superweyl.rootdata import (
     EVEN,
     ODD,
+    CapExceeded,
     Family,
     FamilyError,
     build_root_system,
@@ -208,3 +209,54 @@ assert {distinguished_borel(fresh): "found"}[b] == "found"
         [sys.executable, "-c", child], input=blob, env=env, capture_output=True
     )
     assert out.returncode == 0, out.stderr.decode()
+
+
+def _group_cap():
+    from superweyl.weyl import CoxeterGroup
+
+    system = rs("gl", 4, 1)
+    CoxeterGroup(system, system.simple_even, cap=5)
+
+
+def _kl_table_cap():
+    from superweyl.kl import KLTable
+    from superweyl.weyl import weyl_group
+
+    KLTable(weyl_group(rs("gl", 3, 1)), cap=3)
+
+
+def _borel_cap():
+    from superweyl.borel import enumerate_borels
+
+    enumerate_borels(rs("gl", 2, 1), cap=1)
+
+
+def _gamma_sets_cap():
+    from superweyl.generic import gamma_sets
+
+    gamma_sets(distinguished_borel(rs("gl", 3, 2)), 4)
+
+
+def _verma_cap():
+    from superweyl.chars import verma_restriction_weights
+
+    b = distinguished_borel(rs("gl", 3, 2))
+    verma_restriction_weights(weight([1, 0, 0], [0, 0]), b, cap=2)
+
+
+def _penkov_cap():
+    from superweyl.chars import penkov_decomposition_q
+
+    penkov_decomposition_q(weight([90, 60, 20]), rs("q", 3), cap=1)
+
+
+@pytest.mark.parametrize(
+    "hit_cap",
+    [_group_cap, _kl_table_cap, _borel_cap, _gamma_sets_cap, _verma_cap, _penkov_cap],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_every_cap_raises_cap_exceeded(hit_cap):
+    """Every enumeration cap raises the one class that the CLI maps to
+    exit code 3."""
+    with pytest.raises(CapExceeded):
+        hit_cap()
