@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .rootdata import (
@@ -23,6 +24,7 @@ from .rootdata import (
     form,
     subset_sums,
     weight_to_json,
+    zero_weight,
 )
 from .borel import BorelSystem
 from .generic import is_weakly_generic
@@ -91,16 +93,25 @@ def _odd_negatives(b: BorelSystem) -> list[Weight]:
     ]
 
 
-def verma_restriction_weights(
-    lam: Weight, b: BorelSystem, cap: int = 24
-) -> VermaRestriction:
-    """Multiset {lambda + sum(I) : I over the negative odd roots}."""
+@lru_cache(maxsize=64)
+def _gamma(b: BorelSystem, cap: int = 24) -> tuple[tuple[Weight, int], ...]:
+    """Gamma: the subset sums of the negative odd roots of b, with
+    multiplicity, capped on the number of those roots."""
     negatives = _odd_negatives(b)
     if len(negatives) > cap:
         raise CapExceeded(
             f"{len(negatives)} negative odd roots exceed the cap {cap}"
         )
-    ms = WeightMultiset.from_counter(subset_sums(lam, negatives))
+    return tuple(subset_sums(zero_weight(b.system.family), negatives).items())
+
+
+def verma_restriction_weights(
+    lam: Weight, b: BorelSystem, cap: int = 24
+) -> VermaRestriction:
+    """Multiset {lambda + sum(I) : I over the negative odd roots}."""
+    ms = WeightMultiset.from_counter(
+        Counter({lam + g: mult for g, mult in _gamma(b, cap)})
+    )
     symbol = "k" if b.system.family.kind == "q" else None
     return VermaRestriction(ms, symbol)
 
@@ -110,8 +121,6 @@ def twisted_verma_character_equal(
 ) -> bool:
     """Exact multiset identity s_alpha o (lambda + Gamma) =
     s_alpha . lambda + Gamma; False signals an implementation bug."""
-    from .generic import gamma_sets
-
     system = b.system
     if alpha not in system.simple_even_set:
         raise ValueError(f"{alpha} is not a simple even root")
@@ -120,7 +129,7 @@ def twisted_verma_character_equal(
     moved = dot_action(s, lam, b)
     lhs: Counter = Counter()
     rhs: Counter = Counter()
-    for g, mult in gamma_sets(b).gamma:
+    for g, mult in _gamma(b):
         lhs[s.apply(lam + g + rho0) - rho0] += mult
         rhs[moved + g] += mult
     return lhs == rhs

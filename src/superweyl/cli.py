@@ -202,9 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compact", action="store_true", help="single-line JSON")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def add_compact(sp):
+        # SUPPRESS: an absent subcommand flag leaves the top-level value
+        sp.add_argument(
+            "--compact",
+            action="store_true",
+            default=argparse.SUPPRESS,
+            help="single-line JSON",
+        )
+
     def add(name, help_, *, fam=True, wt=False):
         sp = sub.add_parser(name, help=help_)
-        sp.add_argument("--compact", action="store_true", help="single-line JSON")
+        add_compact(sp)
         if fam:
             sp.add_argument("--family", required=True, help="e.g. gl:2,1 osp:3,2 q:3")
         if wt:
@@ -264,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pairing", default="printed", choices=["printed", "bar"])
 
     sp = sub.add_parser("verify", help="run a named property suite")
-    sp.add_argument("--compact", action="store_true", help="single-line JSON")
+    add_compact(sp)
     sp.add_argument("suite", help="involution prop7.2 thm7.3 lemma8.1 charverma smallrank lemma6.5 or all")
     sp.add_argument("--seed", type=int, default=0)
     return p

@@ -1,10 +1,13 @@
 """Kazhdan-Lusztig combinatorics on finite Coxeter groups: R- and
 KL-polynomials, mu-values, the left preorder and left cells.
 
-The KL polynomials come from the direct canonical-basis recursion.  The
-independent route through the R-polynomials, kl_polynomial_via_r in
-superweyl.oracles, shares nothing with it beyond the group itself and
-is cross-checked against it in the tests.
+The KL polynomials come from the canonical-basis recursion on the
+group's integer tables, with the z-sum restricted to the nonzero mu
+values of the shorter element (du Cloux, Experiment. Math. 11, 2002;
+Bjorner-Brenti, GTM 231, ch. 5).  Two routes in superweyl.oracles check
+it: kl_polynomial_direct, the same recursion scanning every z, and
+kl_polynomial_via_r, through the R-polynomials, which shares nothing
+with it beyond the group itself.
 
 Orientation of the left order: x <= y when the basis element of x
 appears in some product of the algebra with the basis element of y.  In
@@ -112,59 +115,105 @@ Q = IntPoly((0, 1))
 
 
 class KLTable:
-    """KL data for one enumerated Coxeter group (built lazily, cached)."""
+    """KL data for one enumerated Coxeter group (built lazily, cached).
+
+    P is stored by columns: column y maps the index of each x <= y to
+    the coefficients of P_xy (every such P is nonzero), and the columns
+    are filled in BFS order up to the largest y asked for.  Each filled
+    column also leaves the list of its nonzero mu(z, y), which is all
+    that later columns and the left preorder read of it.
+    """
 
     def __init__(self, group: CoxeterGroup, cap: int = 10**4):
         if len(group) > cap:
             raise CapExceeded(f"group of order {len(group)} exceeds cap {cap}")
         self.group = group
-        self._p: dict[tuple[WeylElt, WeylElt], IntPoly] = {}
+        self._columns: list[dict[int, tuple[int, ...]]] = []
+        self._mu_lists: list[list[tuple[int, int]]] = []
         self._preorder: nx.DiGraph | None = None
         self._above: dict[WeylElt, frozenset[WeylElt]] = {}
         self._cells: list[frozenset[WeylElt]] | None = None
         self._cell_index: dict[WeylElt, frozenset[WeylElt]] | None = None
 
-    # -- KL polynomials, direct recursion -----------------------------
+    # -- KL polynomials, column by column ------------------------------
+
+    def _column(self, y: int) -> dict[int, tuple[int, ...]]:
+        """Column y, filling every earlier column first."""
+        columns = self._columns
+        while len(columns) <= y:
+            self._fill_next()
+        return columns[y]
+
+    def _fill_next(self) -> None:
+        """P_xy = q^(1-c) P_{sx,v} + q^c P_{x,v}
+        - sum over z with sz < z of mu(z, v) q^((l(y)-l(z))/2) P_xz,
+        for s the smallest left descent of y, v = sy and c = [sx < x];
+        z runs over the nonzero-mu list of v (Kazhdan-Lusztig 1979)."""
+        core = self.group._core
+        columns, length, left = self._columns, core.length, core.left
+        y = len(columns)
+        if y == 0:
+            col = {0: (1,)}
+        else:
+            ly = length[y]
+            mask = core.descents[y]
+            s = (mask & -mask).bit_length() - 1
+            v = left[y][s]
+            col_v = columns[v]
+            acc: dict[int, list[int]] = {}
+            for x in core.interval(y):
+                sx = left[x][s]
+                if length[sx] < length[x]:
+                    low, high = col_v.get(sx, ()), col_v.get(x, ())
+                else:
+                    low, high = col_v.get(x, ()), col_v.get(sx, ())
+                # low + q * high
+                p = [0] * max(len(low), len(high) + 1)
+                for k, a in enumerate(low):
+                    p[k] = a
+                for k, a in enumerate(high, 1):
+                    p[k] += a
+                acc[x] = p
+            for z, m in self._mu_lists[v]:
+                if length[left[z][s]] > length[z]:
+                    continue
+                shift = (ly - length[z]) // 2
+                for x, pz in columns[z].items():
+                    p = acc[x]
+                    top = shift + len(pz)
+                    if len(p) < top:
+                        p.extend([0] * (top - len(p)))
+                    for k, a in enumerate(pz, shift):
+                        p[k] -= m * a
+            col = {}
+            for x, p in acc.items():
+                while p and p[-1] == 0:
+                    p.pop()
+                if p:
+                    col[x] = tuple(p)
+        ly = length[y]
+        mus = []
+        for x, p in col.items():
+            d = ly - length[x] - 1
+            if d >= 0 and d % 2 == 0 and d // 2 < len(p) and p[d // 2]:
+                mus.append((x, p[d // 2]))
+        columns.append(col)
+        self._mu_lists.append(mus)
 
     def kl_polynomial(self, x: WeylElt, y: WeylElt) -> IntPoly:
-        key = (x, y)
-        if key in self._p:
-            return self._p[key]
-        G = self.group
-        if x == y:
-            out = ONE
-        elif not G.bruhat_leq(x, y):
-            out = IntPoly()
-        else:
-            i = next(iter(G.left_descents(y)))
-            s = G.generators[i]
-            v = s.compose(y)  # l(v) = l(y) - 1
-            sx = s.compose(x)
-            c = 1 if G.length(sx) < G.length(x) else 0
-            out = self.kl_polynomial(sx, v).shift(1 - c) + self.kl_polynomial(
-                x, v
-            ).shift(c)
-            for z in G.elements:
-                if not (G.bruhat_leq(x, z) and G.bruhat_leq(z, v) and z != v):
-                    continue
-                if G.length(s.compose(z)) > G.length(z):
-                    continue
-                m = self.mu(z, v)
-                if m == 0:
-                    continue
-                k = (G.length(y) - G.length(z)) // 2
-                out = out - self.kl_polynomial(x, z).scale(m).shift(k)
-        self._p[key] = out
-        return out
+        index = self.group._core.index
+        return IntPoly(self._column(index[y]).get(index[x], ()))
 
     def mu(self, x: WeylElt, y: WeylElt) -> int:
         """Top-degree coefficient of P_xy at (l(y)-l(x)-1)/2; zero unless
         the length difference is odd and x < y."""
-        G = self.group
-        d = G.length(y) - G.length(x) - 1
+        core = self.group._core
+        i, j = core.index[x], core.index[y]
+        d = core.length[j] - core.length[i] - 1
         if d < 0 or d % 2 != 0:
             return 0
-        return self.kl_polynomial(x, y).coeff(d // 2)
+        p = self._column(j).get(i, ())
+        return p[d // 2] if d // 2 < len(p) else 0
 
     def mu_sym(self, x: WeylElt, y: WeylElt) -> int:
         return self.mu(x, y) if self.group.length(x) < self.group.length(y) else self.mu(y, x)
@@ -172,24 +221,26 @@ class KLTable:
     # -- left preorder and cells ---------------------------------------
 
     def _build_preorder(self) -> nx.DiGraph:
+        """Edges sy -> y for l(sy) > l(y), and x -> y for mu(x, y) or
+        mu(y, x) nonzero when x has a left descent that y lacks."""
         if self._preorder is not None:
             return self._preorder
         G = self.group
+        core = G._core
+        elements, length, descents = G.elements, core.length, core.descents
+        self._column(len(G) - 1)
         g = nx.DiGraph()
-        g.add_nodes_from(G.elements)
-        for y in G.elements:
-            dy = G.left_descents(y)
-            for i, s in enumerate(G.generators):
-                sy = s.compose(y)
-                if G.length(sy) > G.length(y):
-                    g.add_edge(sy, y)  # c_{sy} appears in c_s c_y
-            for x in G.elements:
-                if x == y:
-                    continue
-                if self.mu_sym(x, y) == 0:
-                    continue
-                if G.left_descents(x) - dy:
-                    g.add_edge(x, y)
+        g.add_nodes_from(elements)
+        for y, row in enumerate(core.left):
+            for sy in row:
+                if length[sy] > length[y]:
+                    g.add_edge(elements[sy], elements[y])  # c_{sy} in c_s c_y
+        for v, mus in enumerate(self._mu_lists):
+            for z, _ in mus:
+                if descents[z] & ~descents[v]:
+                    g.add_edge(elements[z], elements[v])
+                if descents[v] & ~descents[z]:
+                    g.add_edge(elements[v], elements[z])
         self._preorder = g
         return g
 
@@ -242,16 +293,10 @@ def kl_table(group: CoxeterGroup, cap: int = 10**4) -> KLTable:
 def p_table_json(table: KLTable) -> list[dict]:
     """All nonzero KL polynomials, keyed by reduced words."""
     G = table.group
-    out = []
-    for y in G.elements:
-        for x in G.elements:
-            p = table.kl_polynomial(x, y)
-            if p:
-                out.append(
-                    {
-                        "x": list(G.word_of(x)),
-                        "y": list(G.word_of(y)),
-                        "coeffs": list(p.coeffs),
-                    }
-                )
-    return out
+    table._column(len(G) - 1)
+    words = [list(w.word) for w in G.elements]
+    return [
+        {"x": words[x], "y": words[y], "coeffs": list(p)}
+        for y, col in enumerate(table._columns)
+        for x, p in col.items()
+    ]

@@ -11,6 +11,12 @@ Production code never imports this module.
   subset-sum definitions behind the per-coroot tests of generic.
 - classical_ideal_leq: the per-pair form of the classical order that
   primposet pulls back once per poset.
+- bruhat_leq_subword: the Bruhat order by the subword criterion, as a
+  set closure along the canonical word of y, against the bitset
+  intervals of weyl.CoxeterGroup.
+- kl_polynomial_direct: the KL recursion of kl.KLTable with its z-sum
+  scanning every group element, on the subword Bruhat order, against
+  the column recursion over nonzero-mu lists.
 - kl_polynomial_via_r (with r_polynomial): KL polynomials by inversion
   of the R-polynomial identity
   q^(l(y)-l(x)) P_xy(1/q) - P_xy(q) = sum_z R_xz(q) P_zy(q) over x < z <= y,
@@ -121,6 +127,70 @@ def classical_ideal_leq(
     _, u1 = coset_factor(comp, sub, w1)
     _, u2 = coset_factor(comp, sub, w2)
     return kl_table(sub).left_kl_leq(u1, u2)
+
+
+# --- Bruhat order and KL polynomials, directly -------------------------------
+
+# Per-group subword closures by word, and per-table P values by (x, y).
+_BELOW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_P: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def bruhat_leq_subword(group: CoxeterGroup, x: WeylElt, y: WeylElt) -> bool:
+    """x <= y: x is a subword product of the canonical word of y."""
+    memo = _BELOW.setdefault(group, {})
+    word = group.word_of(y)
+    below = memo.get(word)
+    if below is None:
+        below = {group.identity}
+        for i in word:
+            s = group.generators[i]
+            below |= {z.compose(s) for z in below}
+        below = memo[word] = frozenset(below)
+    return x in below
+
+
+def kl_polynomial_direct(table: KLTable, x: WeylElt, y: WeylElt) -> IntPoly:
+    """P_xy by the recursion over a left descent s of y, v = sy:
+    q^(1-c) P_{sx,v} + q^c P_{x,v} minus mu(z, v) q^((l(y)-l(z))/2) P_xz
+    for every z in [x, v) with sz < z, scanning the whole group."""
+    return _p_direct(table.group, _P.setdefault(table, {}), x, y)
+
+
+def _p_direct(G: CoxeterGroup, memo: dict, x: WeylElt, y: WeylElt) -> IntPoly:
+    key = (x, y)
+    if key in memo:
+        return memo[key]
+    if x == y:
+        out = ONE
+    elif not bruhat_leq_subword(G, x, y):
+        out = IntPoly()
+    else:
+        i = min(G.left_descents(y))
+        s = G.generators[i]
+        v = s.compose(y)  # l(v) = l(y) - 1
+        sx = s.compose(x)
+        c = 1 if G.length(sx) < G.length(x) else 0
+        out = _p_direct(G, memo, sx, v).shift(1 - c) + _p_direct(
+            G, memo, x, v
+        ).shift(c)
+        for z in G.elements:
+            if z == v or not (
+                bruhat_leq_subword(G, x, z) and bruhat_leq_subword(G, z, v)
+            ):
+                continue
+            if G.length(s.compose(z)) > G.length(z):
+                continue
+            d = G.length(v) - G.length(z) - 1
+            if d < 0 or d % 2 != 0:
+                continue
+            m = _p_direct(G, memo, z, v).coeff(d // 2)
+            if m == 0:
+                continue
+            k = (G.length(y) - G.length(z)) // 2
+            out = out - _p_direct(G, memo, x, z).scale(m).shift(k)
+    memo[key] = out
+    return out
 
 
 # --- KL polynomials via R-inversion -----------------------------------------

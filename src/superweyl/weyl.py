@@ -5,13 +5,19 @@ assigned by breadth-first closure over the simple reflections, which
 makes the canonical word of each element the lexicographically least
 among its minimal-length words.  The same machinery drives reflection
 subgroups (integral Weyl groups W_lambda) with their own simple systems.
+The Bruhat order, and the KL code in superweyl.kl, read integer tables
+(element indices, multiplication tables, lower intervals as int bitsets)
+that a group builds on first use, so groups used only for their action
+never pay for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress
+from operator import itemgetter
 from typing import Sequence
 
 from .rootdata import (
@@ -253,16 +259,15 @@ class CoxeterGroup:
         )
 
     def bruhat_leq(self, x: WeylElt, y: WeylElt) -> bool:
-        """Subword criterion evaluated on the canonical word of y."""
-        return x in self._below(self._words[y])
+        """One bit of the lower Bruhat interval of y."""
+        core = self._core
+        i = core.index.get(x)
+        return i is not None and core.below[core.index[y]] >> i & 1 == 1
 
-    @lru_cache(maxsize=None)
-    def _below(self, word: tuple[int, ...]) -> frozenset[WeylElt]:
-        below = {self.identity}
-        for i in word:
-            s = self.generators[i]
-            below |= {z.compose(s) for z in below}
-        return frozenset(below)
+    @cached_property
+    def _core(self) -> "_CoxeterIndex":
+        """Integer tables for Bruhat and KL work, built on first use."""
+        return _CoxeterIndex(self)
 
     def all_reduced_words(self, w: WeylElt) -> list[tuple[int, ...]]:
         """Every reduced word of w (recursion over right descents)."""
@@ -282,6 +287,64 @@ class CoxeterGroup:
             return out
 
         return rec(w)
+
+
+# Int bitsets as bytes, one 0/1 byte per bit from the lowest, and back.
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _flags(bits: int) -> bytes:
+    return bin(bits)[:1:-1].encode().translate(_TO_FLAGS)
+
+
+def _from_flags(flags: bytes) -> int:
+    return int(flags[::-1].translate(_TO_DIGITS), 2)
+
+
+class _CoxeterIndex:
+    """A group's elements numbered 0..|W|-1 in BFS order, with integer
+    tables: left[i][g] and right[i][g] are the indices of s_g * w_i and
+    w_i * s_g, length[i] is l(w_i), descents[i] the bitmask of the left
+    descents of w_i, and bit x of below[y] is set exactly when
+    w_x <= w_y in the Bruhat order.
+
+    The intervals follow the BFS parent: if y = v s with l(y) = l(v) + 1
+    then [e, y] = [e, v] u [e, v] s (subword property).
+    """
+
+    def __init__(self, group: CoxeterGroup):
+        elements = group.elements
+        gens = group.generators
+        index = {w: i for i, w in enumerate(elements)}
+        self.index = index
+        self.left = [tuple(index[s.compose(w)] for s in gens) for w in elements]
+        self.right = [tuple(index[w.compose(s)] for s in gens) for w in elements]
+        length = [group._length[w] for w in elements]
+        self.length = length
+        self.descents = [
+            sum(1 << g for g, k in enumerate(row) if length[k] < length[i])
+            for i, row in enumerate(self.left)
+        ]
+        n = len(elements)
+        # image[g](flags of A) = flags of A s_g, for flags padded to n
+        # bytes (_flags stops at the highest set bit)
+        image = [
+            itemgetter(*(row[g] for row in self.right)) for g in range(len(gens))
+        ]
+        pad = bytes(n)
+        below = [1]
+        for y in range(1, n):
+            g = elements[y].word[-1]
+            v = self.right[y][g]
+            moved = bytes(image[g](_flags(below[v]) + pad))
+            below.append(below[v] | _from_flags(moved))
+        self.below = below
+
+    def interval(self, y: int) -> list[int]:
+        """Indices x <= y in the Bruhat order, ascending."""
+        flags = _flags(self.below[y])
+        return list(compress(range(len(flags)), flags))
 
 
 @lru_cache(maxsize=None)

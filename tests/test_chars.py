@@ -5,7 +5,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from superweyl.rootdata import EVEN, build_root_system, family, weight
+from superweyl.rootdata import EVEN, CapExceeded, build_root_system, family, weight
 from superweyl.borel import distinguished_borel
 from superweyl.chars import (
     generic_restriction_decomposition,
@@ -68,6 +68,18 @@ def test_twisted_character_identity_bulk(any_family):
         lam = random_weight(rng, any_family)
         for alpha in system.simple_even:
             assert twisted_verma_character_equal(lam, alpha, b)
+
+
+def test_twist_check_reads_only_the_negative_odd_roots():
+    """gl(4|4) has 32 odd roots but 16 negative ones: the identity is
+    checked under the cap of 24 negative odd roots; gl(5|5) has 25."""
+    system, b = setup("gl:4,4")
+    lam = weight([0] * 4, [0] * 4)
+    alpha = system.simple_even[0]
+    assert twisted_verma_character_equal(lam, alpha, b)
+    system, b = setup("gl:5,5")
+    with pytest.raises(CapExceeded):
+        twisted_verma_character_equal(weight([0] * 5, [0] * 5), system.simple_even[0], b)
 
 
 def test_circle_equivariance_of_translate(any_family):

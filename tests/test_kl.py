@@ -3,10 +3,16 @@ and the Hecke-product oracle for the preorder generators."""
 
 import pytest
 
-from superweyl.rootdata import Family, build_root_system
+from superweyl.rootdata import Family, build_root_system, family
 from superweyl.weyl import CoxeterGroup, weyl_group
 from superweyl.kl import ONE, Q, IntPoly, KLTable, kl_table
-from superweyl.oracles import kl_polynomial_via_r, r_polynomial
+from superweyl.oracles import (
+    kl_polynomial_direct,
+    kl_polynomial_via_r,
+    r_polynomial,
+)
+
+from conftest import ORACLE_GROUPS, oracle_group
 
 
 def group_for(kind, m, n=0) -> CoxeterGroup:
@@ -253,3 +259,50 @@ def test_preorder_matches_hecke_oracle(builder):
         for y in G:
             oracle = x == y or nx.has_path(g, x, y)
             assert oracle == t.left_kl_leq(x, y), (G.word_of(x), G.word_of(y))
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_columns_match_direct_recursion(spec):
+    """Every P_xy, and so every mu, equals the full-scan recursion's."""
+    G = oracle_group(spec)
+    t = KLTable(G)
+    for y in G:
+        for x in G:
+            assert t.kl_polynomial(x, y) == kl_polynomial_direct(t, x, y), (
+                G.word_of(x),
+                G.word_of(y),
+            )
+
+
+def all_pairs_preorder(t: KLTable) -> dict:
+    """Upper sets of the left preorder generated pair by pair: sy -> y
+    when sy > y, and x -> y when mu_sym(x, y) != 0 and x has a left
+    descent that y lacks."""
+    G = t.group
+    succ = {y: set() for y in G}
+    for y in G:
+        for s in G.generators:
+            sy = s.compose(y)
+            if G.length(sy) > G.length(y):
+                succ[sy].add(y)
+        for x in G:
+            if x != y and t.mu_sym(x, y) and G.left_descents(x) - G.left_descents(y):
+                succ[x].add(y)
+    above = {}
+    for x in G:
+        seen, todo = {x}, [x]
+        while todo:
+            for z in succ[todo.pop()]:
+                if z not in seen:
+                    seen.add(z)
+                    todo.append(z)
+        above[x] = seen
+    return above
+
+
+@pytest.mark.parametrize("spec", ["q:4", "q:5", "gl:4,2", "osp:5,4", "osp:6,4"])
+def test_left_kl_above_matches_all_pairs_preorder(spec):
+    G = weyl_group(build_root_system(family(spec)))
+    t = KLTable(G)
+    for x, want in all_pairs_preorder(t).items():
+        assert t.left_kl_above(x) == want, G.word_of(x)

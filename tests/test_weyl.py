@@ -28,7 +28,9 @@ from superweyl.weyl import (
     weyl_group,
 )
 
-from conftest import random_weight
+from superweyl.oracles import bruhat_leq_subword
+
+from conftest import ORACLE_GROUPS, oracle_group, random_weight
 
 
 def setup(kind, m, n=0):
@@ -246,3 +248,14 @@ def test_integral_subgroup_contains_all_integral_reflections(any_family):
         members = set(sub.elements)
         for r in integral_root_system(system, lam):
             assert reflection_elt(system, r) in members
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_bruhat_bits_match_subword_oracle(spec):
+    W = oracle_group(spec)
+    for y in W:
+        for x in W:
+            assert W.bruhat_leq(x, y) == bruhat_leq_subword(W, x, y), (
+                W.word_of(x),
+                W.word_of(y),
+            )
