@@ -20,40 +20,12 @@ and is_generic_enumerated in superweyl.oracles.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .rootdata import ODD, CapExceeded, Weight, form, subset_sums, zero_weight
+from .rootdata import Weight, form
 from .borel import BorelSystem
 from .weyl import dot_action, weyl_group
-
-
-@dataclass(frozen=True)
-class GammaSets:
-    gamma: tuple[tuple[Weight, int], ...]
-    gamma_tilde: tuple[tuple[Weight, int], ...]
-
-
-@lru_cache(maxsize=None)
-def gamma_sets(b: BorelSystem, cap: int = 24) -> GammaSets:
-    """Exact multisets of odd subset sums for a Borel system."""
-    system = b.system
-    odd = [r for r in system.roots if r.parity == ODD]
-    if len(odd) > cap:
-        raise CapExceeded(
-            f"|odd roots| = {len(odd)} exceeds the subset-sum cap {cap}"
-        )
-    zero = zero_weight(system.family)
-    negatives = [r.weight for r in odd if r not in b.odd_positive]
-    gamma = subset_sums(zero, negatives)
-    gamma_tilde = subset_sums(zero, [r.weight for r in odd])
-
-    def pack(c):
-        return tuple(sorted(c.items(), key=lambda kv: kv[0].sort_key()))
-
-    return GammaSets(pack(gamma), pack(gamma_tilde))
 
 
 def is_weakly_generic(lam: Weight, b: BorelSystem) -> bool:

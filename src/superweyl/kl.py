@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import networkx as nx
-
+from . import digraph
 from .rootdata import CapExceeded
 from .weyl import CoxeterGroup, WeylElt
 
@@ -130,7 +129,7 @@ class KLTable:
         self.group = group
         self._columns: list[dict[int, tuple[int, ...]]] = []
         self._mu_lists: list[list[tuple[int, int]]] = []
-        self._preorder: nx.DiGraph | None = None
+        self._reach: list[int] | None = None
         self._above: dict[WeylElt, frozenset[WeylElt]] = {}
         self._cells: list[frozenset[WeylElt]] | None = None
         self._cell_index: dict[WeylElt, frozenset[WeylElt]] | None = None
@@ -220,47 +219,52 @@ class KLTable:
 
     # -- left preorder and cells ---------------------------------------
 
-    def _build_preorder(self) -> nx.DiGraph:
-        """Edges sy -> y for l(sy) > l(y), and x -> y for mu(x, y) or
-        mu(y, x) nonzero when x has a left descent that y lacks."""
-        if self._preorder is not None:
-            return self._preorder
-        G = self.group
-        core = G._core
-        elements, length, descents = G.elements, core.length, core.descents
-        self._column(len(G) - 1)
-        g = nx.DiGraph()
-        g.add_nodes_from(elements)
+    def _build_preorder(self) -> list[list[int]]:
+        """Successor lists over element indices: sy -> y for
+        l(sy) > l(y), and x -> y for mu(x, y) or mu(y, x) nonzero when x
+        has a left descent that y lacks."""
+        core = self.group._core
+        length, descents = core.length, core.descents
+        self._column(len(self.group) - 1)
+        succ: list[list[int]] = [[] for _ in range(len(self.group))]
         for y, row in enumerate(core.left):
             for sy in row:
                 if length[sy] > length[y]:
-                    g.add_edge(elements[sy], elements[y])  # c_{sy} in c_s c_y
+                    succ[sy].append(y)  # c_{sy} in c_s c_y
         for v, mus in enumerate(self._mu_lists):
             for z, _ in mus:
                 if descents[z] & ~descents[v]:
-                    g.add_edge(elements[z], elements[v])
+                    succ[z].append(v)
                 if descents[v] & ~descents[z]:
-                    g.add_edge(elements[v], elements[z])
-        self._preorder = g
-        return g
+                    succ[v].append(z)
+        return succ
+
+    def _reach_bits(self) -> list[int]:
+        if self._reach is None:
+            self._reach = digraph.reach(self._build_preorder())
+        return self._reach
 
     def left_kl_above(self, x: WeylElt) -> frozenset[WeylElt]:
-        """Every y with x <= y in the left preorder, x included; built
-        once per element from the preorder graph."""
+        """Every y with x <= y in the left preorder, x included; read
+        once per element from its reachability bitset."""
         above = self._above.get(x)
         if above is None:
-            above = frozenset(nx.descendants(self._build_preorder(), x) | {x})
+            elements = self.group.elements
+            bits = self._reach_bits()[self.group._core.index[x]]
+            above = frozenset(elements[i] for i in digraph.members(bits))
             self._above[x] = above
         return above
 
     def left_kl_leq(self, x: WeylElt, y: WeylElt) -> bool:
-        return x == y or y in self.left_kl_above(x)
+        index = self.group._core.index
+        return bool(self._reach_bits()[index[x]] >> index[y] & 1)
 
     def left_cells(self) -> list[frozenset[WeylElt]]:
         if self._cells is None:
-            g = self._build_preorder()
+            elements = self.group.elements
             self._cells = [
-                frozenset(c) for c in nx.strongly_connected_components(g)
+                frozenset(elements[i] for i in c)
+                for c in digraph.components(self._build_preorder())
             ]
             self._cells.sort(
                 key=lambda c: min(self.group.word_of(w) for w in c)

@@ -7,8 +7,9 @@ Production code never imports this module.
 
 - track_highest_weight_cumulative: the cumulative form of the per-step
   transport rule of borel.track_highest_weight.
-- is_weakly_generic_enumerated, is_generic_enumerated: the literal
-  subset-sum definitions behind the per-coroot tests of generic.
+- gamma_tilde, is_weakly_generic_enumerated, is_generic_enumerated:
+  the literal subset-sum definitions behind the per-coroot tests of
+  generic.
 - classical_ideal_leq: the per-pair form of the classical order that
   primposet pulls back once per poset.
 - bruhat_leq_subword: the Bruhat order by the subword criterion, as a
@@ -22,15 +23,21 @@ Production code never imports this module.
   q^(l(y)-l(x)) P_xy(1/q) - P_xy(q) = sum_z R_xz(q) P_zy(q) over x < z <= y,
   whose degree split determines P_xy uniquely.  It shares nothing with
   the direct recursion of kl.KLTable beyond the group itself.
+- reach_warshall, components_mutual, reduction_naive: Warshall's
+  closure, strongly connected components as mutual-reachability
+  classes, and the transitive reduction by its definition, against the
+  algorithms of superweyl.digraph.
 """
 
 from __future__ import annotations
 
 import weakref
+from functools import lru_cache
 from typing import Sequence
 
 from .rootdata import (
     ODD,
+    CapExceeded,
     Root,
     RootSystem,
     Weight,
@@ -40,7 +47,7 @@ from .rootdata import (
     zero_weight,
 )
 from .borel import BorelSystem
-from .generic import gamma_sets, is_weakly_generic
+from .generic import is_weakly_generic
 from .kl import ONE, Q, IntPoly, KLTable, kl_table
 from .primposet import _component_group
 from .weyl import CoxeterGroup, WeylElt, chamber, coset_factor
@@ -77,11 +84,23 @@ def track_highest_weight_cumulative(
 
 # --- genericity -------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def gamma_tilde(b: BorelSystem, cap: int = 24) -> tuple[tuple[Weight, int], ...]:
+    """GammaTilde: the subset sums of all odd roots, with multiplicity,
+    capped on the number of odd roots."""
+    odd = [r.weight for r in b.system.roots if r.parity == ODD]
+    if len(odd) > cap:
+        raise CapExceeded(
+            f"|odd roots| = {len(odd)} exceeds the subset-sum cap {cap}"
+        )
+    return tuple(subset_sums(zero_weight(b.system.family), odd).items())
+
+
 def is_weakly_generic_enumerated(lam: Weight, b: BorelSystem) -> bool:
     """lambda + GammaTilde in one open chamber, by enumeration."""
     system = b.system
     sign = None
-    for g, _ in gamma_sets(b).gamma_tilde:
+    for g, _ in gamma_tilde(b):
         c = chamber(system, lam + g)
         if 0 in c:
             return False
@@ -267,3 +286,33 @@ def _solve_column(table: KLTable, y: WeylElt) -> dict[WeylElt, IntPoly]:
                 )
         col[x] = p
     return col
+
+
+# --- digraphs ----------------------------------------------------------------
+
+def reach_warshall(succ: Sequence[Sequence[int]]) -> list[set[int]]:
+    """Per node, the nodes it reaches (itself included), by Warshall."""
+    n = len(succ)
+    r = [{v} | set(heads) for v, heads in enumerate(succ)]
+    for k in range(n):
+        for v in range(n):
+            if k in r[v]:
+                r[v] |= r[k]
+    return r
+
+
+def components_mutual(succ: Sequence[Sequence[int]]) -> set[frozenset[int]]:
+    """Strongly connected components as mutual-reachability classes."""
+    r = reach_warshall(succ)
+    return {frozenset(w for w in r[v] if v in r[w]) for v in range(len(succ))}
+
+
+def reduction_naive(succ: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
+    """Edges u -> v of a DAG with no w outside {u, v} on a path u ->* w ->* v."""
+    r = reach_warshall(succ)
+    return {
+        (u, v)
+        for u, heads in enumerate(succ)
+        for v in heads
+        if not any(w not in (u, v) and v in r[w] for w in r[u])
+    }

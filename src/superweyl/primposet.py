@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from .rootdata import (
     Family,
     Root,
@@ -35,6 +33,7 @@ from .rootdata import (
     zero_weight,
 )
 from .borel import BorelSystem, distinguished_borel
+from .digraph import components, members, reach, reduction
 from .generic import is_generic, is_weakly_generic
 from .kl import kl_table
 from .star import (
@@ -65,7 +64,12 @@ class PosetError(ValueError):
 
 @dataclass
 class InclusionGraph:
-    """Edge (a, b, tag): the ideal at a is contained in the ideal at b."""
+    """Edge (a, b, tag): the ideal at a is contained in the ideal at b.
+
+    Every edge joins two nodes: add_edge sees to it, and callers that
+    fill the sets directly must too.  The order queries number the nodes
+    afresh on each call, so the sets may change between calls.
+    """
 
     nodes: set[Weight] = field(default_factory=set)
     edges: set[tuple[Weight, Weight, str]] = field(default_factory=set)
@@ -87,35 +91,42 @@ class InclusionGraph:
         self.nodes |= other.nodes
         self.edges |= other.edges
 
-    def digraph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
-        g.add_edges_from((a, b) for a, b, _ in self.edges)
-        return g
+    def _indexed(self) -> tuple[list[Weight], dict[Weight, int], list[list[int]]]:
+        """The nodes in a list, their positions, and the successor lists
+        of the edges over those positions."""
+        nodes = list(self.nodes)
+        index = {w: i for i, w in enumerate(nodes)}
+        succ: list[list[int]] = [[] for _ in nodes]
+        for a, b, _ in self.edges:
+            succ[index[a]].append(index[b])
+        return nodes, index, succ
 
     def leq(self, a: Weight, b: Weight) -> bool:
         """Reachability: containment of the ideal at a in the one at b."""
-        if a == b:
-            return a in self.nodes
-        g = self.digraph()
-        return g.has_node(a) and g.has_node(b) and nx.has_path(g, a, b)
+        if a not in self.nodes or b not in self.nodes:
+            return False
+        _, index, succ = self._indexed()
+        return bool(reach(succ)[index[a]] >> index[b] & 1)
 
     def relation(self) -> set[tuple[Weight, Weight]]:
-        g = self.digraph()
-        out = set()
-        for a in self.nodes:
-            for b in nx.descendants(g, a):
-                out.add((a, b))
-            out.add((a, a))
-        return out
+        """Every pair (a, b) with a <= b, the pairs (a, a) included."""
+        nodes, _, succ = self._indexed()
+        return {
+            (a, nodes[j])
+            for a, bits in zip(nodes, reach(succ))
+            for j in members(bits)
+        }
 
     def same_order(self, other: "InclusionGraph") -> bool:
         """Equal node sets and equal reflexive-transitive closures."""
         return self.nodes == other.nodes and self.relation() == other.relation()
 
     def equality_classes(self) -> list[tuple[Weight, ...]]:
-        comps = nx.strongly_connected_components(self.digraph())
-        out = [tuple(sorted(c, key=Weight.sort_key)) for c in comps]
+        nodes, _, succ = self._indexed()
+        out = [
+            tuple(sorted((nodes[i] for i in c), key=Weight.sort_key))
+            for c in components(succ)
+        ]
         return sorted(out, key=lambda c: c[0].sort_key())
 
     def to_json(self) -> dict:
@@ -149,12 +160,16 @@ class InclusionGraph:
 
 
 def transitive_closure(g: InclusionGraph) -> InclusionGraph:
+    """g plus a "closure" edge (a, b) for every a <= b with a != b that
+    no edge of g joins; no self-loops, as add_edge stores none."""
     out = InclusionGraph(set(g.nodes), set(g.edges))
-    closed = nx.transitive_closure(g.digraph(), reflexive=False)
+    nodes, _, succ = g._indexed()
     have = {(a, b) for a, b, _ in g.edges}
-    for a, b in closed.edges:
-        if (a, b) not in have:
-            out.edges.add((a, b, "closure"))
+    for i, bits in enumerate(reach(succ)):
+        a = nodes[i]
+        for j in members(bits & ~(1 << i)):
+            if (a, nodes[j]) not in have:
+                out.edges.add((a, nodes[j], "closure"))
     return out
 
 
@@ -166,22 +181,20 @@ def hasse(g: InclusionGraph) -> InclusionGraph:
     from, joined when several rules produced the same cover.
     """
     classes = g.equality_classes()
-    rep = {}
-    for cls in classes:
-        for w in cls:
-            rep[w] = cls[0]
-    dag = nx.DiGraph()
-    dag.add_nodes_from(cls[0] for cls in classes)
-    tags: dict[tuple[Weight, Weight], set[str]] = {}
+    cls_of = {w: i for i, cls in enumerate(classes) for w in cls}
+    tags: dict[tuple[int, int], set[str]] = {}
     for a, b, tag in g.edges:
-        if rep[a] != rep[b]:
-            dag.add_edge(rep[a], rep[b])
-            tags.setdefault((rep[a], rep[b]), set()).add(tag)
-    reduced = nx.transitive_reduction(dag)
-    out = InclusionGraph(set(reduced.nodes), set())
-    for a, b in reduced.edges:
-        label = ",".join(sorted(tags.get((a, b), set()))) or "hasse"
-        out.edges.add((a, b, label))
+        if cls_of[a] != cls_of[b]:
+            tags.setdefault((cls_of[a], cls_of[b]), set()).add(tag)
+    succ: list[list[int]] = [[] for _ in classes]
+    for i, j in tags:
+        succ[i].append(j)
+    out = InclusionGraph({cls[0] for cls in classes}, set())
+    for i, covers in enumerate(reduction(succ)):
+        for j in covers:
+            out.edges.add(
+                (classes[i][0], classes[j][0], ",".join(sorted(tags[i, j])))
+            )
     return out
 
 

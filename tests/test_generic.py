@@ -9,15 +9,19 @@ from hypothesis import given, settings, strategies as st
 from superweyl.rootdata import CapExceeded, build_root_system, family, weight
 from superweyl.borel import distinguished_borel
 from superweyl.weyl import dot_action, circle_action, weyl_group
+from superweyl.chars import _gamma
 from superweyl.generic import (
     default_order_roots,
     dominance_leq,
-    gamma_sets,
     is_generic,
     is_orbit_maximal,
     is_weakly_generic,
 )
-from superweyl.oracles import is_generic_enumerated, is_weakly_generic_enumerated
+from superweyl.oracles import (
+    gamma_tilde,
+    is_generic_enumerated,
+    is_weakly_generic_enumerated,
+)
 
 from conftest import random_weight
 
@@ -29,8 +33,8 @@ def setup(spec):
 
 def test_gamma_gl21():
     system, b = setup("gl:2,1")
-    sets = gamma_sets(b)
-    got = {w for w, m in sets.gamma}
+    gamma = _gamma(b)
+    got = {w for w, m in gamma}
     want = {
         weight([0, 0], [0]),
         weight([-1, 0], [1]),
@@ -38,30 +42,29 @@ def test_gamma_gl21():
         weight([-1, -1], [2]),
     }
     assert got == want
-    assert all(m == 1 for _, m in sets.gamma)
-    assert sum(m for _, m in sets.gamma) == 4
+    assert all(m == 1 for _, m in gamma)
+    assert sum(m for _, m in gamma) == 4
 
 
 def test_zero_in_gamma(any_family):
     system = build_root_system(any_family)
     b = distinguished_borel(system)
-    sets = gamma_sets(b)
     zero = weight([0] * any_family.eps_dim, [0] * any_family.del_dim)
-    assert dict(sets.gamma)[zero] >= 1
+    assert dict(_gamma(b))[zero] >= 1
 
 
 def test_gamma_tilde_q2():
     system, b = setup("q:2")
-    sets = gamma_sets(b)
-    assert sum(m for _, m in sets.gamma_tilde) == 4
-    counter = dict(sets.gamma_tilde)
+    sums = gamma_tilde(b)
+    assert sum(m for _, m in sums) == 4
+    counter = dict(sums)
     assert counter[weight([0, 0])] == 2  # empty set and the +- pair
 
 
 def test_gamma_cap():
     system, b = setup("gl:3,2")
     with pytest.raises(CapExceeded):
-        gamma_sets(b, 4)
+        _gamma(b, 4)
 
 
 def test_weakly_generic_examples():

@@ -1,5 +1,5 @@
-"""Package layout guards: no `assert` in the library, and the
-cross-check oracles stay off the production import path."""
+"""Package layout guards: no `assert` in the library, and neither the
+cross-check oracles nor networkx are on the production import path."""
 
 import ast
 import os
@@ -24,12 +24,14 @@ def test_library_has_no_assert_statement():
 
 
 def test_production_modules_do_not_import_the_oracles():
+    """Nor networkx: the library has no runtime dependencies."""
     code = (
         "import importlib, pkgutil, sys, superweyl\n"
         "for m in pkgutil.iter_modules(superweyl.__path__):\n"
         "    if m.name != 'oracles':\n"
         "        importlib.import_module('superweyl.' + m.name)\n"
         "print('superweyl.oracles' in sys.modules)\n"
+        "print('networkx' in sys.modules)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -39,4 +41,4 @@ def test_production_modules_do_not_import_the_oracles():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]

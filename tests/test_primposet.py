@@ -46,6 +46,18 @@ def test_graph_plumbing():
     assert g.equality_classes()[0] == (a, b)
 
 
+def test_closure_adds_no_self_loops():
+    """Nodes on a cycle reach themselves, yet the closure adds no edge
+    (a, a): add_edge never stores one either."""
+    a, b, c = weight([1]), weight([2]), weight([3])
+    g = InclusionGraph()
+    g.add_equality(a, b, "eq")
+    g.add_edge(b, c, "t")
+    closed = transitive_closure(g)
+    assert all(x != y for x, y, _ in closed.edges)
+    assert closed.edges - g.edges == {(a, c, "closure")}
+
+
 def test_small_rank_osp12():
     fam = Family("osp", 1, 1)
     lam = weight([], [Fraction(1, 3)])

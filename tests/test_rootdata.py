@@ -231,10 +231,10 @@ def _borel_cap():
     enumerate_borels(rs("gl", 2, 1), cap=1)
 
 
-def _gamma_sets_cap():
-    from superweyl.generic import gamma_sets
+def _gamma_tilde_cap():
+    from superweyl.oracles import gamma_tilde
 
-    gamma_sets(distinguished_borel(rs("gl", 3, 2)), 4)
+    gamma_tilde(distinguished_borel(rs("gl", 3, 2)), 4)
 
 
 def _verma_cap():
@@ -252,7 +252,7 @@ def _penkov_cap():
 
 @pytest.mark.parametrize(
     "hit_cap",
-    [_group_cap, _kl_table_cap, _borel_cap, _gamma_sets_cap, _verma_cap, _penkov_cap],
+    [_group_cap, _kl_table_cap, _borel_cap, _gamma_tilde_cap, _verma_cap, _penkov_cap],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_every_cap_raises_cap_exceeded(hit_cap):
